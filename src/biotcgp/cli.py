@@ -91,10 +91,6 @@ class RunConfig:
             raise ConfigError("omega must be positive")
         if self.mms not in ("trig", "discrete"):
             raise ConfigError("mms must be 'trig' or 'discrete'")
-        if not self.phi0 < 1 or not self.phi0 > 0:
-            raise ConfigError("phi0 must lie in (0, 1)")
-        if not self.phi0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in [phi0, 1]")
         self.params()   # full physical-parameter validation
         return self
 

@@ -17,8 +17,7 @@ import numpy as np
 from .time_basis import gauss_rule
 
 __all__ = ["GeometryError", "ReferenceElement", "reference_element", "triangle_rule",
-           "CellGeometry", "piola_map", "piola_values", "piola_divs", "piola_gradients",
-           "piola_seconds"]
+           "CellGeometry", "piola_map", "piola_values", "piola_divs", "piola_gradients"]
 
 
 class GeometryError(ValueError):
@@ -195,11 +194,12 @@ class ReferenceElement:
 
     # tabulation of the nodal basis on the reference element
     def tabulate(self, points: np.ndarray) -> np.ndarray:
+        """Basis values at points of any leading shape; (..., nd, [2])."""
         if self.family == "BDM":
             monos = eval_vector_monomials(self.exponents, points)
-            return np.einsum("mi,mqa->qia", self.dual_coeffs, monos)
+            return np.einsum("mi,m...a->...ia", self.dual_coeffs, monos)
         monos = eval_scalar_monomials(self.exponents, points)
-        return np.einsum("mi,mq->qi", self.dual_coeffs, monos)
+        return np.einsum("mi,m...->...i", self.dual_coeffs, monos)
 
     def tabulate_div(self, points: np.ndarray) -> np.ndarray:
         if self.family != "BDM":
@@ -324,11 +324,6 @@ def piola_divs(geom: CellGeometry, ref_divs: np.ndarray) -> np.ndarray:
 def piola_gradients(geom: CellGeometry, ref_grads: np.ndarray) -> np.ndarray:
     """Physical gradient of a Piola-mapped field; axes (..., component, deriv)."""
     return np.einsum("ab,...bc,cd->...ad", geom.matrix, ref_grads, geom.inverse) / geom.det
-
-
-def piola_seconds(geom: CellGeometry, ref_seconds: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,...bcd,ce,df->...aef", geom.matrix, ref_seconds,
-                     geom.inverse, geom.inverse) / geom.det
 
 
 def piola_map(geom: CellGeometry, v_ref, div_ref=None):

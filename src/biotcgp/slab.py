@@ -327,13 +327,6 @@ class Trajectory:
         basis = lagrange_basis("G0", self.k)
         return np.einsum("i,id->d", basis.eval_all(np.asarray(s)), self.coeffs[field_name][n - 1])
 
-    def eval_derivative(self, field_name: str, t: float) -> np.ndarray:
-        n, t_left = self._locate(t)
-        s = (t - t_left) / self.grid.tau
-        basis = lagrange_basis("G0", self.k)
-        return np.einsum("i,id->d", basis.deriv_all(np.asarray(s)),
-                         self.coeffs[field_name][n - 1]) / self.grid.tau
-
 
 def eval_trajectory(traj: Trajectory, field_name: str, t: float) -> np.ndarray:
     return traj.eval(field_name, t)

@@ -22,6 +22,8 @@ __all__ = ["FunctionSpace", "build_space", "eval_field", "eval_div", "eval_gradi
            "interpolate_vector_field", "project_scalar_field", "remove_mean"]
 
 DENSE_EDGE_POINTS = 10   # moment quadrature for interpolating analytic data
+_MONOMIAL_TABLES = (el.eval_vector_monomials, el.eval_vector_monomial_grads,
+                    el.eval_vector_monomial_seconds)
 
 
 @dataclass
@@ -177,31 +179,50 @@ class FunctionSpace:
     def n_free(self) -> int:
         return self.free.size
 
-    def geometry(self, cell: int) -> el.CellGeometry:
-        return el.CellGeometry(self.cell_matrix[cell], self.cell_origin[cell],
-                               float(self.cell_det[cell]), self.cell_inverse[cell])
-
     # -- tabulation ----------------------------------------------------------
+
+    def _physical_points(self, ref_points: np.ndarray) -> np.ndarray:
+        """Images of shared reference points on every cell; (nc, nq, 2)."""
+        return np.einsum("cab,qb->cqa", self.cell_matrix, ref_points) + self.cell_origin[:, None, :]
+
+    def _piola(self, cells: np.ndarray, ref_points: np.ndarray, order: int) -> list:
+        """Piola-mapped BDM basis data of ``cells`` at reference points, which
+        are (nq, 2), shared by every cell, or (n, nq, 2), one set per cell.
+
+        Returns [values (n, nq, nd, 2), gradients (..., 2, 2), second
+        derivatives (..., 2, 2, 2)] up to derivative ``order``: the monomial
+        tables are contracted with ``dof_transform`` first, then B/det acts on
+        the component axis and B^-1 on each derivative axis.  In memory the
+        basis index is innermost, which the coefficient contractions favour.
+        """
+        n = len(cells)
+        coeffs = self.dof_transform[cells]                                # (n, m, nd)
+        bmat = self.cell_matrix[cells] / self.cell_det[cells][:, None, None]
+        binv_t = np.swapaxes(self.cell_inverse[cells], 1, 2)
+        out = []
+        for d, table in enumerate(_MONOMIAL_TABLES[:order + 1]):
+            ref = table(self.element.exponents, ref_points)    # (m, [n,] nq, 2, *[2]*d)
+            ref = np.moveaxis(ref, (0, ref.ndim - d - 2), (-1, -2))  # ([n,] 2, ..., nq, m)
+            t = ref.reshape(ref.shape[:-d - 3] + (-1, ref.shape[-1])) @ coeffs
+            t = t.reshape((n,) + ref.shape[-d - 3:-1] + (-1,))  # (n, 2, *[2]*d, nq, nd)
+            # map the leading axis, then rotate it behind the other vector axes
+            for mat in [bmat] + [binv_t] * d:
+                t = np.moveaxis((mat @ t.reshape(n, 2, -1)).reshape(t.shape), 1, d + 1)
+            out.append(np.moveaxis(t, (-2, -1), (1, 2)))
+        return out
 
     @cached_property
     def volume(self) -> VolumeTabulation:
         qp, qw = el.triangle_rule(self.quad_degree)
-        points = np.einsum("cab,qb->cqa", self.cell_matrix, qp) + self.cell_origin[:, None, :]
+        points = self._physical_points(qp)
         weights = self.cell_det[:, None] * qw[None, :]
         if self.family == "DGP":
             vals = self.element.tabulate(qp)               # same on every cell
             values = np.broadcast_to(vals, (self.mesh.num_cells,) + vals.shape)
             return VolumeTabulation(points, weights, values, None, None)
-        monos = el.eval_vector_monomials(self.element.exponents, qp)
-        mdivs = el.eval_vector_monomial_divs(self.element.exponents, qp)
-        mgrads = el.eval_vector_monomial_grads(self.element.exponents, qp)
-        c = self.dof_transform
-        det = self.cell_det
-        values = np.einsum("cmi,cab,mqb->cqia", c, self.cell_matrix, monos) / det[:, None, None, None]
-        divs = np.einsum("cmi,mq->cqi", c, mdivs) / det[:, None, None]
-        grads = np.einsum("cmi,cab,mqbd,cde->cqiae", c, self.cell_matrix, mgrads,
-                          self.cell_inverse) / det[:, None, None, None, None]
-        return VolumeTabulation(points, weights, values, divs, grads)
+        values, grads = self._piola(np.arange(self.mesh.num_cells), qp, 1)
+        return VolumeTabulation(points, weights, values, np.trace(grads, axis1=-2, axis2=-1),
+                                grads)
 
     @cached_property
     def edge_traces(self) -> EdgeTraces:
@@ -233,10 +254,7 @@ class FunctionSpace:
         if self.family != "BDM":
             raise ValueError("second-derivative tabulation only for BDM spaces")
         qp, _ = el.triangle_rule(self.quad_degree)
-        msec = el.eval_vector_monomial_seconds(self.element.exponents, qp)
-        return np.einsum("cmi,cab,mqbde,cdf,ceg->cqiafg", self.dof_transform,
-                         self.cell_matrix, msec, self.cell_inverse,
-                         self.cell_inverse) / self.cell_det[:, None, None, None, None, None]
+        return self._piola(np.arange(self.mesh.num_cells), qp, 2)[2]
 
     def tabulate_at(self, cells: np.ndarray, points: np.ndarray,
                     grads: bool = False):
@@ -246,22 +264,13 @@ class FunctionSpace:
         Returns values (n, nq, nd, [2]) and optionally gradients.
         """
         cells = np.asarray(cells)
-        binv = self.cell_inverse[cells]
-        ref = np.einsum("nab,nqb->nqa", binv, points - self.cell_origin[cells][:, None, :])
+        ref = np.einsum("nab,nqb->nqa", self.cell_inverse[cells],
+                        points - self.cell_origin[cells][:, None, :])
         if self.family == "DGP":
-            monos = el.eval_scalar_monomials(self.element.exponents, ref)  # (nm, n, nq)
-            vals = np.einsum("mi,mnq->nqi", self.element.dual_coeffs, monos)
+            vals = self.element.tabulate(ref)
             return (vals, None) if grads else vals
-        monos = el.eval_vector_monomials(self.element.exponents, ref)      # (2nm, n, nq, 2)
-        c = self.dof_transform[cells]
-        det = self.cell_det[cells]
-        bmat = self.cell_matrix[cells]
-        vals = np.einsum("nmi,nab,mnqb->nqia", c, bmat, monos) / det[:, None, None, None]
-        if not grads:
-            return vals
-        mgrads = el.eval_vector_monomial_grads(self.element.exponents, ref)
-        g = np.einsum("nmi,nab,mnqbd,nde->nqiae", c, bmat, mgrads, binv) / det[:, None, None, None, None]
-        return vals, g
+        tabs = self._piola(cells, ref, int(grads))
+        return tuple(tabs) if grads else tabs[0]
 
     # -- field evaluation ------------------------------------------------------
 
@@ -301,7 +310,9 @@ def build_space(mesh: Mesh, family: str, degree: int, bc: str | None = None,
     return FunctionSpace(mesh, family, degree, bc, quad_degree)
 
 
-def _locate(space: FunctionSpace, cell: int, point) -> np.ndarray:
+def _point_basis(space: FunctionSpace, coeffs: np.ndarray, cell: int, point,
+                 grads: bool = False):
+    """Local coefficients and basis tabulation of ``cell`` at one physical point."""
     point = np.asarray(point, dtype=float)
     if not (0 <= cell < space.mesh.num_cells):
         raise ValueError(f"cell {cell} out of range")
@@ -309,38 +320,26 @@ def _locate(space: FunctionSpace, cell: int, point) -> np.ndarray:
     tol = 1e-12
     if ref[0] < -tol or ref[1] < -tol or ref[0] + ref[1] > 1.0 + tol:
         raise ValueError(f"point {point} lies outside cell {cell}")
-    return ref
+    tab = space.tabulate_at([cell], point[None, None, :], grads)
+    return np.asarray(coeffs)[space.cell_dofs[cell]], (tab[1] if grads else tab)[0, 0]
 
 
 def eval_field(space: FunctionSpace, coeffs: np.ndarray, cell: int, point):
     """Point evaluation; scalar for DGP, length-2 vector for BDM."""
-    ref = _locate(space, cell, point)
-    local = np.asarray(coeffs)[space.cell_dofs[cell]]
+    local, vals = _point_basis(space, coeffs, cell, point)
     if space.family == "DGP":
-        monos = el.eval_scalar_monomials(space.element.exponents, ref[None, :])
-        vals = np.einsum("mi,mq->qi", space.element.dual_coeffs, monos)[0]
         return float(vals @ local)
-    geom = space.geometry(cell)
-    monos = el.eval_vector_monomials(space.element.exponents, ref[None, :])
-    vals = el.piola_values(geom, np.einsum("mi,mqa->qia", space.dof_transform[cell], monos))[0]
     return vals.T @ local
 
 
 def eval_div(space: FunctionSpace, coeffs: np.ndarray, cell: int, point) -> float:
-    ref = _locate(space, cell, point)
-    local = np.asarray(coeffs)[space.cell_dofs[cell]]
-    divs = el.eval_vector_monomial_divs(space.element.exponents, ref[None, :])
-    nodal = np.einsum("mi,mq->qi", space.dof_transform[cell], divs)[0] / space.cell_det[cell]
-    return float(nodal @ local)
+    local, grads = _point_basis(space, coeffs, cell, point, grads=True)
+    return float(np.trace(grads, axis1=-2, axis2=-1) @ local)
 
 
 def eval_gradient(space: FunctionSpace, coeffs: np.ndarray, cell: int, point) -> np.ndarray:
-    ref = _locate(space, cell, point)
-    local = np.asarray(coeffs)[space.cell_dofs[cell]]
-    geom = space.geometry(cell)
-    mg = el.eval_vector_monomial_grads(space.element.exponents, ref[None, :])
-    nodal = el.piola_gradients(geom, np.einsum("mi,mqab->qiab", space.dof_transform[cell], mg))[0]
-    return np.einsum("iab,i->ab", nodal, local)
+    local, grads = _point_basis(space, coeffs, cell, point, grads=True)
+    return np.einsum("iab,i->ab", grads, local)
 
 
 # -- canonical interpolation / projection of analytic data ---------------------
@@ -376,7 +375,7 @@ def interpolate_vector_field(space: FunctionSpace, fn) -> np.ndarray:
     ni = space.element.n_interior_dofs
     if ni:
         qp, qw = el.triangle_rule(min(space.quad_degree + 4, 12))
-        points = np.einsum("cab,qb->cqa", space.cell_matrix, qp) + space.cell_origin[:, None, :]
+        points = space._physical_points(qp)
         area = 0.5 * space.cell_det
         w = space.cell_det[:, None] * qw[None, :] / area[:, None]
         v = np.asarray(fn(points.reshape(-1, 2))).reshape(points.shape)
@@ -394,7 +393,7 @@ def project_scalar_field(space: FunctionSpace, fn, quad_degree: int | None = Non
         raise ValueError("scalar projection requires a DGP space")
     degree = quad_degree if quad_degree is not None else min(space.quad_degree + 4, 12)
     qp, qw = el.triangle_rule(degree)
-    points = np.einsum("cab,qb->cqa", space.cell_matrix, qp) + space.cell_origin[:, None, :]
+    points = space._physical_points(qp)
     f = np.asarray(fn(points.reshape(-1, 2))).reshape(points.shape[:2])
     vals = space.element.tabulate(qp)                                # (nq, nloc)
     # physical cell mass is diag(cell area) for the scaled modal basis

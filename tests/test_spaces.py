@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biotcgp import spaces as sps
-from biotcgp.mesh import refine_uniform, structured_mesh
+from biotcgp.mesh import _connect, refine_uniform, structured_mesh
 
 
 def _random_point_in_cell(mesh, cell, rng):
@@ -128,6 +128,44 @@ def test_shared_edge_trace_from_both_cells(mesh1, rng):
         v0 = np.asarray(sps.eval_field(space, coeffs, int(c0), pt)) @ n
         v1 = np.asarray(sps.eval_field(space, coeffs, int(c1), pt)) @ n
         assert abs(v0 - v1) <= 1e-12 * max(1.0, abs(v0))
+
+
+def _perturbed_mesh(seed=7):
+    """structured_mesh(3, 3) with every interior vertex moved by at most 0.2 h,
+    so no two cells are congruent and B^-1 differs from its transpose."""
+    mesh = structured_mesh(3, 3)
+    rng = np.random.default_rng(seed)
+    verts = mesh.vertices.copy()
+    inner = np.flatnonzero(np.all((verts > 0.0) & (verts < 1.0), axis=1))
+    radius = 0.2 * rng.random(inner.size) / 3.0
+    angle = 2.0 * np.pi * rng.random(inner.size)
+    verts[inner] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    moved = _connect(verts, mesh.cells)
+    moved.validate()
+    return moved
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_tabulated_derivatives_match_central_differences(degree):
+    # central differences are exact for the polynomial degrees involved, so
+    # only rounding (~eps / step) separates them from the tabulated data
+    mesh = _perturbed_mesh()
+    space = sps.build_space(mesh, "BDM", degree)
+    cells = np.arange(mesh.num_cells)
+    pts = space.volume.points
+    step = 1e-4
+    fd_grads = np.empty(space.volume.grads.shape)
+    fd_seconds = np.empty(space.volume_seconds.shape)
+    for d in range(2):
+        shift = step * np.eye(2)[d]
+        vp, gp = space.tabulate_at(cells, pts + shift, grads=True)
+        vm, gm = space.tabulate_at(cells, pts - shift, grads=True)
+        fd_grads[..., d] = (vp - vm) / (2.0 * step)
+        fd_seconds[..., d] = (gp - gm) / (2.0 * step)
+    fd_divs = np.trace(fd_grads, axis1=-2, axis2=-1)
+    for tabulated, fd in ((space.volume.grads, fd_grads), (space.volume.divs, fd_divs),
+                          (space.volume_seconds, fd_seconds)):
+        assert np.abs(tabulated - fd).max() <= 1e-7 * max(1.0, np.abs(tabulated).max())
 
 
 @pytest.mark.parametrize("degree", [1, 2])
