@@ -10,6 +10,7 @@ the one-sided average/jump so tangential Dirichlet data is enforced weakly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,12 +100,17 @@ class FieldSource:
         self.space = space
         self.terms = [(np.asarray(c, dtype=float), f) for c, f in terms]
 
+    @cached_property
+    def _term_values(self) -> list[np.ndarray]:
+        """Each term's field at the volume quadrature points (independent of t)."""
+        return [self.space.values_on_quadrature(coeffs) for coeffs, _ in self.terms]
+
     def volume_values(self, space: FunctionSpace, t: float) -> np.ndarray:
         if space.mesh is not self.space.mesh:
             raise ValueError("source and target spaces live on different meshes")
         out = None
-        for coeffs, factor in self.terms:
-            contrib = float(factor(t)) * self.space.values_on_quadrature(coeffs)
+        for values, (_, factor) in zip(self._term_values, self.terms):
+            contrib = float(factor(t)) * values
             out = contrib if out is None else out + contrib
         return out
 

@@ -27,7 +27,7 @@ from .time_basis import gauss_rule, gauss_lobatto_rule, lagrange_basis
 
 __all__ = ["TimeGrid", "SlabState", "SourceSet", "Discretization", "SlabOperators",
            "Trajectory", "project_initial_data", "build_slab_system", "solve_slab",
-           "march", "eval_trajectory", "export_snapshots"]
+           "march", "export_snapshots"]
 
 FIELDS = ("u", "v", "w", "p")
 
@@ -326,10 +326,6 @@ class Trajectory:
         s = (t - t_left) / self.grid.tau
         basis = lagrange_basis("G0", self.k)
         return np.einsum("i,id->d", basis.eval_all(np.asarray(s)), self.coeffs[field_name][n - 1])
-
-
-def eval_trajectory(traj: Trajectory, field_name: str, t: float) -> np.ndarray:
-    return traj.eval(field_name, t)
 
 
 def project_initial_data(disc: Discretization, u0, v0, w0, p0) -> SlabState:

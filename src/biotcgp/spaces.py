@@ -285,14 +285,6 @@ class FunctionSpace:
         local = np.asarray(coeffs)[self.cell_dofs]
         return np.einsum("cqi,ci->cq", self.volume.divs, local)
 
-    def grads_on_quadrature(self, coeffs: np.ndarray) -> np.ndarray:
-        local = np.asarray(coeffs)[self.cell_dofs]
-        return np.einsum("cqiab,ci->cqab", self.volume.grads, local)
-
-    def seconds_on_quadrature(self, coeffs: np.ndarray) -> np.ndarray:
-        local = np.asarray(coeffs)[self.cell_dofs]
-        return np.einsum("cqiabd,ci->cqabd", self.volume_seconds, local)
-
     def lift(self, free_values: np.ndarray) -> np.ndarray:
         """Embed free-DOF values into a full vector (constrained entries zero)."""
         full = np.zeros(free_values.shape[:-1] + (self.ndofs,))

@@ -18,9 +18,9 @@ from .ioutil import atomic_write_text, fmt17
 from .linalg import LinearSystem, lu_solve
 from .mesh import structured_mesh
 from .mms import DiscreteCase, default_mms, discrete_case
-from .slab import Discretization, SourceSet, TimeGrid, Trajectory, march
+from .slab import FIELDS, Discretization, SourceSet, TimeGrid, Trajectory, march
 from .spaces import interpolate_vector_field, project_scalar_field
-from .time_basis import gauss_rule, lagrange_basis
+from .time_basis import gauss_lobatto_rule, gauss_rule, lagrange_basis
 
 __all__ = ["field_error_norms", "sample_error_norms", "trajectory_errors",
            "mass_conservation_audit",
@@ -31,89 +31,92 @@ __all__ = ["field_error_norms", "sample_error_norms", "trajectory_errors",
 
 # --- spatial error norms -----------------------------------------------------
 
-def _values_or_zero(closure, points):
-    if closure is None:
+def _on_points(table: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Stacked fields at tabulated points: a basis table (n, nq, nd, *comp)
+    times local coefficients (n, nd, S) gives (n, nq, *comp, S).
+
+    One batched matmul over the table's own memory order (point and component
+    axes flattened, the basis index last), so a table whose basis index is
+    innermost in memory is not copied.
+    """
+    order = [0, *sorted([1, *range(3, table.ndim)], key=lambda a: -table.strides[a])]
+    base = table.transpose(order + [2])
+    out = base.reshape(len(base), -1, base.shape[-1]) @ local
+    out = out.reshape(base.shape[:-1] + out.shape[-1:])
+    return out.transpose(sorted(range(len(order)), key=order.__getitem__) + [table.ndim - 1])
+
+
+def _exact_values(exact: list | None, name: str, points: np.ndarray):
+    """Closure ``name`` of every sample at points (..., 2): (..., *comp, S);
+    0.0 when there are no closures or the key is absent."""
+    if exact is None or exact[0].get(name) is None:
         return 0.0
-    return np.asarray(closure(points.reshape(-1, 2))).reshape(
-        points.shape[:-1] + np.asarray(closure(points[:1].reshape(-1, 2))).shape[1:])
+    flat = points.reshape(-1, 2)
+    vals = np.stack([np.asarray(ex[name](flat)) for ex in exact], axis=-1)
+    return vals.reshape(points.shape[:-1] + vals.shape[1:])
+
+
+def _integral(weights: np.ndarray, integrand: np.ndarray) -> np.ndarray:
+    """sum_{c,q} weights[c, q] * integrand[c, q, ...] summed over the component
+    axes; integrand (n, nq, *comp, S) gives (S,)."""
+    per_point = integrand.sum(axis=tuple(range(2, integrand.ndim - 1)))
+    return np.einsum("cq,cqs->s", weights, per_point)
 
 
 def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
-                      exact: dict | None = None) -> dict[str, float]:
-    """Norms of (discrete field - exact closure); ``exact=None`` measures the
-    discrete fields themselves (used when the error is a coefficient vector).
+                      exact: list[dict] | None = None) -> dict[str, np.ndarray]:
+    """Norms of (discrete field - exact closure) for a stack of S samples.
 
-    Returns squared-norm building blocks reduced to the final norms:
-    u_L2, u_DG, u_Uh, mrho_vw, w_Kinv, p_L2.
+    ``coeffs[f]`` is (S, ndofs); ``exact`` is one closure dict per sample, or
+    None to measure the discrete fields themselves (used when the error is a
+    coefficient vector).  A field absent from a closure dict counts as zero.
+
+    Returns (S,) arrays of u_L2, u_DG, u_DG_no_h2, u_Uh, u_div, mrho_vw,
+    w_Kinv, p_L2.
     """
     bdm, dgp = disc.bdm, disc.dgp
     prm = disc.params
-    vol = bdm.volume
-    w = vol.weights
-    pts = vol.points
+    mesh = disc.mesh
+    w = bdm.volume.weights
+    pts = bdm.volume.points
+    local = {f: np.asarray(coeffs[f]).T[(dgp if f == "p" else bdm).cell_dofs]
+             for f in FIELDS}                                   # (nc, nd, S)
 
-    e_u = bdm.values_on_quadrature(coeffs["u"]) - _values_or_zero(
-        exact and exact.get("u"), pts)
-    e_v = bdm.values_on_quadrature(coeffs["v"]) - _values_or_zero(
-        exact and exact.get("v"), pts)
-    e_w = bdm.values_on_quadrature(coeffs["w"]) - _values_or_zero(
-        exact and exact.get("w"), pts)
-    e_p = dgp.values_on_quadrature(coeffs["p"]) - _values_or_zero(
-        exact and exact.get("p"), pts)
+    e_u = _on_points(bdm.volume.values, local["u"]) - _exact_values(exact, "u", pts)
+    e_v = _on_points(bdm.volume.values, local["v"]) - _exact_values(exact, "v", pts)
+    e_w = _on_points(bdm.volume.values, local["w"]) - _exact_values(exact, "w", pts)
+    e_p = _on_points(dgp.volume.values, local["p"]) - _exact_values(exact, "p", pts)
 
-    u_l2_sq = float(np.einsum("cq,cqa,cqa->", w, e_u, e_u))
-    mrho_sq = float(np.einsum("cq,cqa,cqa->", w, e_v, e_v) * prm.rho_bar
-                    + 2.0 * prm.rho_f * np.einsum("cq,cqa,cqa->", w, e_v, e_w)
-                    + prm.rho_w * np.einsum("cq,cqa,cqa->", w, e_w, e_w))
-    ki = prm.kappa_inv
-    wk_sq = float(np.einsum("cq,cqa,ab,cqb->", w, e_w, ki, e_w))
-    p_sq = float(np.einsum("cq,cq,cq->", w, e_p, e_p))
+    u_l2_sq = _integral(w, e_u * e_u)
+    mrho_sq = _integral(w, prm.rho_bar * e_v * e_v + 2.0 * prm.rho_f * e_v * e_w
+                        + prm.rho_w * e_w * e_w)
+    wk_sq = _integral(w, e_w * np.einsum("ab,cqbs->cqas", prm.kappa_inv, e_w))
+    p_sq = _integral(w, e_p * e_p)
 
-    grad_err = bdm.grads_on_quadrature(coeffs["u"]) - _values_or_zero(
-        exact and exact.get("grad_u"), pts)
-    h1_sq = float(np.einsum("cq,cqab,cqab->", w, grad_err, grad_err))
-    div_err = bdm.divs_on_quadrature(coeffs["u"]) - _values_or_zero(
-        exact and exact.get("div_u"), pts)
-    div_sq = float(np.einsum("cq,cq,cq->", w, div_err, div_err))
+    grad_err = (_on_points(bdm.volume.grads, local["u"])
+                - _exact_values(exact, "grad_u", pts))
+    h1_sq = _integral(w, grad_err * grad_err)
+    div_err = _on_points(bdm.volume.divs, local["u"]) - _exact_values(exact, "div_u", pts)
+    div_sq = _integral(w, div_err * div_err)
 
-    if bdm.degree >= 2:
-        sec = bdm.seconds_on_quadrature(coeffs["u"])
-    else:
-        sec = 0.0
-    sec_err = sec - _values_or_zero(exact and exact.get("second_u"), pts)
+    sec = _on_points(bdm.volume_seconds, local["u"]) if bdm.degree >= 2 else 0.0
+    sec_err = sec - _exact_values(exact, "second_u", pts)
     if np.isscalar(sec_err):
         h2_sq = 0.0
     else:
-        h2_sq = float(np.einsum("c,cq,cqabd,cqabd->", disc.mesh.h_cell ** 2, w,
-                                sec_err, sec_err))
+        h2_sq = _integral(mesh.h_cell[:, None] ** 2 * w, sec_err * sec_err)
 
-    # tangential jumps of the displacement error over every edge
+    # tangential jumps of the displacement error over every edge; the exact
+    # field is continuous, so it enters on boundary edges only
     tr = bdm.edge_traces
-    mesh = disc.mesh
-    local0 = np.asarray(coeffs["u"])[bdm.cell_dofs[mesh.edge_cells[:, 0]]]
-    trace0 = np.einsum("eqia,ei->eqa", tr.values0, local0)
-    exact_u = exact.get("u") if exact else None
-    ex_tr = _values_or_zero(exact_u, tr.points)
-    err0 = trace0 - ex_tr
-    jump_sq = 0.0
-    interior = tr.interior
-    if interior.size:
-        local1 = np.asarray(coeffs["u"])[bdm.cell_dofs[mesh.edge_cells[interior, 1]]]
-        trace1 = np.einsum("eqia,ei->eqa", tr.values1, local1)
-        err1 = trace1 - (ex_tr[interior] if exact_u is not None else 0.0)
-        jump = err0[interior] - err1
-        n = tr.normals[interior]
-        jn = np.einsum("eqa,ea->eq", jump, n)
-        tang = jump - jn[..., None] * n[:, None, :]
-        # the h_e from ds and the h_e^{-1} weight cancel
-        jump_sq += float(np.einsum("q,eqa,eqa->", tr.s_weights, tang, tang))
+    jump = _on_points(tr.values0, local["u"][mesh.edge_cells[:, 0]])
+    jump[tr.interior] -= _on_points(tr.values1, local["u"][mesh.edge_cells[tr.interior, 1]])
     boundary = np.flatnonzero(mesh.boundary_edge)
-    if boundary.size:
-        n = tr.normals[boundary]
-        jump = err0[boundary]
-        jn = np.einsum("eqa,ea->eq", jump, n)
-        tang = jump - jn[..., None] * n[:, None, :]
-        jump_sq += float(np.einsum("q,eqa,eqa->", tr.s_weights, tang, tang))
+    jump[boundary] -= _exact_values(exact, "u", tr.points[boundary])
+    tangents = tr.normals @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+    jt = np.einsum("eqas,ea->eqs", jump, tangents)
+    # the h_e from ds and the h_e^{-1} weight cancel
+    jump_sq = np.einsum("q,eqs->s", tr.s_weights, jt * jt)
 
     dg_sq = h1_sq + jump_sq + h2_sq
     return {
@@ -128,20 +131,23 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
     }
 
 
-def sample_error_norms(traj: Trajectory, case, t: float) -> dict[str, float]:
-    disc = traj.disc
+def _stacked_errors(disc: Discretization, case, values: dict[str, np.ndarray],
+                    times) -> dict[str, np.ndarray]:
+    """``field_error_norms`` of trajectory values (S, ndofs) per field at S times."""
     if isinstance(case, DiscreteCase):
-        ex = case.exact_state(t)
-        coeffs = {f: traj.eval(f, t) - getattr(ex, f) for f in ("u", "v", "w", "p")}
-        exact = None
-    else:
-        coeffs = {f: traj.eval(f, t) for f in ("u", "v", "w", "p")}
-        exact = case.exact_closures(t)
-    return field_error_norms(disc, coeffs, exact)
+        states = [case.exact_state(t) for t in times]
+        return field_error_norms(disc, {f: v - np.stack([getattr(st, f) for st in states])
+                                        for f, v in values.items()})
+    return field_error_norms(disc, values, [case.exact_closures(t) for t in times])
+
+
+def sample_error_norms(traj: Trajectory, case, t: float) -> dict[str, float]:
+    norms = _stacked_errors(traj.disc, case, {f: traj.eval(f, t)[None] for f in FIELDS}, [t])
+    return {key: float(val[0]) for key, val in norms.items()}
 
 
 def trajectory_errors(traj: Trajectory, case) -> dict[str, float]:
-    """Reduce the per-time error norms over the run.
+    """Reduce the per-time error norms over the run, one evaluation per slab.
 
     Linf norms are maxima over slab endpoints plus the interior Gauss-Lobatto
     points of every slab; the endpoint-only combined measure (graph norm of u,
@@ -150,35 +156,28 @@ def trajectory_errors(traj: Trajectory, case) -> dict[str, float]:
     """
     grid, k = traj.grid, traj.k
     prm = traj.disc.params
-    from .time_basis import gauss_lobatto_rule
-    gl = gauss_lobatto_rule(k).nodes
+    ends = grid.endpoints
+    rule = gauss_rule(min(k + 2, 6))
+    # slab positions after the endpoint rows: interior Gauss-Lobatto, then Gauss
+    inner = np.concatenate([gauss_lobatto_rule(k).nodes[1:-1], rule.nodes])
+    basis = lagrange_basis("G0", k)
 
     linf: dict[str, float] = {}
-    combined_endpoint = 0.0
-    endpoint_times = list(grid.endpoints)
-    sample_times = set()
-    for n in range(grid.num_slabs):
-        t0 = grid.endpoints[n]
-        for s in gl[1:-1]:
-            sample_times.add(t0 + grid.tau * float(s))
-    sample_times.update(endpoint_times)
-
-    for t in sorted(sample_times):
-        norms = sample_error_norms(traj, case, t)
-        for key, val in norms.items():
-            linf[key] = max(linf.get(key, 0.0), val)
-        if t in endpoint_times:
-            combined = norms["u_Uh"] + norms["mrho_vw"] + np.sqrt(prm.s0) * norms["p_L2"]
-            combined_endpoint = max(combined_endpoint, combined)
-
-    rule = gauss_rule(min(k + 2, 6))
     l2i_sq: dict[str, float] = {}
+    combined_endpoint = 0.0
     for n in range(grid.num_slabs):
-        t0 = grid.endpoints[n]
-        for s, wq in zip(rule.nodes, rule.weights):
-            norms = sample_error_norms(traj, case, t0 + grid.tau * float(s))
-            for key, val in norms.items():
-                l2i_sq[key] = l2i_sq.get(key, 0.0) + grid.tau * wq * val * val
+        n_end = 2 if n == grid.num_slabs - 1 else 1   # the right end only once
+        lagrange = basis.eval_all(np.concatenate([[0.0, 1.0][:n_end], inner]))
+        times = np.concatenate([ends[n:n + n_end], ends[n] + grid.tau * inner])
+        norms = _stacked_errors(traj.disc, case,
+                                {f: lagrange @ traj.coeffs[f][n] for f in FIELDS}, times)
+        n_linf = n_end + k - 1
+        for key, val in norms.items():
+            linf[key] = max(linf.get(key, 0.0), float(val[:n_linf].max()))
+            l2i_sq[key] = (l2i_sq.get(key, 0.0)
+                           + grid.tau * float(rule.weights @ val[n_linf:] ** 2))
+        combined = (norms["u_Uh"] + norms["mrho_vw"] + np.sqrt(prm.s0) * norms["p_L2"])
+        combined_endpoint = max(combined_endpoint, float(combined[:n_end].max()))
 
     out = {f"{key}_Linf": val for key, val in linf.items()}
     out.update({f"{key}_L2I": float(np.sqrt(val)) for key, val in l2i_sq.items()})
@@ -433,35 +432,26 @@ def projection_study(params: asm.PhysicalParams, ell: int, mesh_sizes,
         ex = case.exact_closures(t_star)
 
         p1 = projection_p1(disc, ex["u"], ex["grad_u"])
-        norms_u = field_error_norms(disc, {"u": p1, "v": np.zeros(disc.bdm.ndofs),
-                                           "w": np.zeros(disc.bdm.ndofs),
-                                           "p": np.zeros(disc.dgp.ndofs)},
-                                    {"u": ex["u"], "grad_u": ex["grad_u"],
-                                     "div_u": ex["div_u"], "second_u": ex["second_u"]})
         p2 = projection_p2(disc, ex["w"])
-        w_vals = disc.bdm.values_on_quadrature(p2) - np.asarray(
-            ex["w"](disc.bdm.volume.points.reshape(-1, 2))).reshape(
-                disc.bdm.volume.points.shape)
-        w_l2 = float(np.sqrt(np.einsum("cq,cqa,cqa->", disc.bdm.volume.weights,
-                                       w_vals, w_vals)))
-        div_w_fn = lambda x: case.div_w(x, t_star)
-        w_div = disc.bdm.divs_on_quadrature(p2) - div_w_fn(
-            disc.bdm.volume.points.reshape(-1, 2)).reshape(
-                disc.bdm.volume.points.shape[:2])
-        w_divn = float(np.sqrt(np.einsum("cq,cq,cq->", disc.bdm.volume.weights,
-                                         w_div, w_div)))
         p3 = projection_p3(disc, ex["p"])
-        p_vals = disc.dgp.values_on_quadrature(p3) - np.asarray(
-            ex["p"](disc.dgp.volume.points.reshape(-1, 2))).reshape(
-                disc.dgp.volume.points.shape[:2])
-        p_l2 = float(np.sqrt(np.einsum("cq,cq,cq->", disc.dgp.volume.weights,
-                                       p_vals, p_vals)))
+        zeros = np.zeros((1, disc.bdm.ndofs))
+        norms_u = field_error_norms(
+            disc, {"u": p1[None], "v": zeros, "w": zeros, "p": np.zeros((1, disc.dgp.ndofs))},
+            [{key: ex[key] for key in ("u", "grad_u", "div_u", "second_u")}])
+        # the flux interpolant is measured in the displacement slot, whose
+        # L2 and divergence norms are the ones reported for it
+        norms_wp = field_error_norms(
+            disc, {"u": p2[None], "v": zeros, "w": zeros, "p": p3[None]},
+            [{"u": ex["w"], "div_u": lambda x: case.div_w(x, t_star), "p": ex["p"]}])
 
         result.steps.append(1.0 / nx)
         result.h_values.append(1.0 / nx)
         result.tau_values.append(0.0)
-        for key, val in (("u_p1_L2", norms_u["u_L2"]), ("u_p1_DG", norms_u["u_DG"]),
-                         ("u_p1_div", norms_u["u_div"]), ("w_p2_L2", w_l2),
-                         ("w_p2_div", w_divn), ("p_p3_L2", p_l2)):
-            result.columns.setdefault(key, []).append(val)
+        for key, (norms, name) in (("u_p1_L2", (norms_u, "u_L2")),
+                                   ("u_p1_DG", (norms_u, "u_DG")),
+                                   ("u_p1_div", (norms_u, "u_div")),
+                                   ("w_p2_L2", (norms_wp, "u_L2")),
+                                   ("w_p2_div", (norms_wp, "u_div")),
+                                   ("p_p3_L2", (norms_wp, "p_L2"))):
+            result.columns.setdefault(key, []).append(float(norms[name][0]))
     return result

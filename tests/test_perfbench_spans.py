@@ -1,0 +1,46 @@
+"""The benchmark tracer (perfbench/spans.py) wraps verification functions by
+name; these checks keep that contract with the program."""
+
+import sys
+from pathlib import Path
+
+from biotcgp import mms, verification as ver
+from biotcgp.mesh import structured_mesh
+from biotcgp.slab import Discretization, TimeGrid, march
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _wrapped_attributes(functions, methods):
+    """Identity of every attribute the tracer replaces, keyed by owner."""
+    modules = [m for key, m in sys.modules.items()
+               if key == "biotcgp" or key.startswith("biotcgp.")]
+    out = {}
+    for _, attr, _, _ in functions:
+        for module in modules:
+            if attr in module.__dict__:
+                out[(module.__name__, attr)] = module.__dict__[attr]
+    for module_name, cls_name, attr, _, _ in methods:
+        out[(cls_name, attr)] = getattr(sys.modules[module_name], cls_name).__dict__[attr]
+    return out
+
+
+def test_tracer_counts_one_error_evaluation_per_slab(monkeypatch, params):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import FUNCTIONS, METHODS, Tracer
+
+    disc = Discretization(structured_mesh(2, 2), 0, params)
+    case = mms.default_mms(params)
+    grid = TimeGrid(0.5, 2)
+    traj = march(disc, 2, grid, case.initial_state(disc), case.sources())
+    before = _wrapped_attributes(FUNCTIONS, METHODS)
+
+    tracer = Tracer()
+    errs = tracer.call("root", ver.trajectory_errors, traj, case)
+
+    assert "verification.errors" in {span[0] for span in tracer.spans}
+    assert tracer.stats["verification.error_samples"] == grid.num_slabs
+    after = _wrapped_attributes(FUNCTIONS, METHODS)
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+    assert errs == ver.trajectory_errors(traj, case)

@@ -5,7 +5,7 @@ from biotcgp import assembly as asm, mms
 from biotcgp import spaces as sps
 from biotcgp.mesh import structured_mesh
 from biotcgp.slab import (Discretization, SlabOperators, SlabState, SourceSet,
-                          TimeGrid, build_slab_system, eval_trajectory, march,
+                          TimeGrid, build_slab_system, march,
                           project_initial_data, solve_slab)
 from biotcgp.time_basis import composite_simpson, lagrange_basis
 
@@ -178,7 +178,7 @@ def test_endpoint_shared_between_slabs(disc4):
     from_left = traj.endpoint("u", 2)
     stored_right = traj.coeffs["u"][2, 0]         # node 0 of the next slab
     assert np.array_equal(from_left, stored_right)
-    assert np.array_equal(eval_trajectory(traj, "u", t1), stored_right)
+    assert np.array_equal(traj.eval("u", t1), stored_right)
 
 
 def test_eval_at_gauss_node_returns_block(disc4):
@@ -186,7 +186,7 @@ def test_eval_at_gauss_node_returns_block(disc4):
     grid = TimeGrid(0.5, 2)
     traj = march(disc4, 1, grid, case.initial_state(), case.sources())
     t = grid.endpoints[0] + grid.tau * 0.5        # k=1 Gauss node of slab 1
-    got = eval_trajectory(traj, "w", t)
+    got = traj.eval("w", t)
     assert np.allclose(got, traj.coeffs["w"][0, 1], atol=1e-12)
 
 
@@ -195,7 +195,7 @@ def test_midpoint_is_endpoint_average_k1(disc4):
     case = mms.discrete_case(disc4, 1, temporal="poly")
     grid = TimeGrid(0.5, 1)
     traj = march(disc4, 1, grid, case.initial_state(), case.sources())
-    mid = eval_trajectory(traj, "u", 0.25)
+    mid = traj.eval("u", 0.25)
     avg = 0.5 * (traj.endpoint("u", 0) + traj.endpoint("u", 1))
     assert np.abs(mid - avg).max() <= 1e-11
 

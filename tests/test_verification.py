@@ -4,6 +4,7 @@ import pytest
 from biotcgp import assembly as asm, mms, spaces as sps, verification as ver
 from biotcgp.mesh import structured_mesh
 from biotcgp.slab import Discretization, SlabState, SourceSet, TimeGrid, march
+from biotcgp.time_basis import gauss_lobatto_rule, gauss_rule
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,76 @@ def test_dg_norm_monotone_in_h2_term(disc4, params):
     norms = ver.sample_error_norms(traj, case, 0.25)
     assert norms["u_DG"] >= norms["u_DG_no_h2"]
     assert norms["u_Uh"] >= norms["u_DG"]
+
+
+def _per_sample_trajectory_errors(traj, case):
+    """The definition of ``trajectory_errors`` written out one sample time at
+    a time: Linf over the sorted endpoint and interior Gauss-Lobatto times,
+    the combined measure over the endpoints, and a per-slab Gauss sum for
+    the L2-in-time norms."""
+    grid, k = traj.grid, traj.k
+    root_s0 = np.sqrt(traj.disc.params.s0)
+    ends = list(grid.endpoints)
+    gl = gauss_lobatto_rule(k).nodes
+    times = set(ends)
+    for n in range(grid.num_slabs):
+        times.update(ends[n] + grid.tau * float(s) for s in gl[1:-1])
+    linf, combined = {}, 0.0
+    for t in sorted(times):
+        norms = ver.sample_error_norms(traj, case, t)
+        for key, val in norms.items():
+            linf[key] = max(linf.get(key, 0.0), val)
+        if t in ends:
+            combined = max(combined, norms["u_Uh"] + norms["mrho_vw"]
+                           + root_s0 * norms["p_L2"])
+    rule = gauss_rule(min(k + 2, 6))
+    l2i_sq = {}
+    for n in range(grid.num_slabs):
+        for s, wq in zip(rule.nodes, rule.weights):
+            norms = ver.sample_error_norms(traj, case, ends[n] + grid.tau * float(s))
+            for key, val in norms.items():
+                l2i_sq[key] = l2i_sq.get(key, 0.0) + grid.tau * wq * val * val
+    out = {f"{key}_Linf": val for key, val in linf.items()}
+    out.update({f"{key}_L2I": np.sqrt(val) for key, val in l2i_sq.items()})
+    out["combined_endpoint"] = combined
+    out["combined_Linf"] = linf["u_Uh"] + linf["mrho_vw"] + root_s0 * linf["p_L2"]
+    return out
+
+
+@pytest.mark.parametrize("kind, k, ell, mesh_n", [
+    ("trig", 1, 0, 3), ("trig", 2, 0, 3), ("discrete", 2, 0, 3), ("trig", 2, 1, 2)])
+def test_trajectory_errors_matches_per_sample_loop(kind, k, ell, mesh_n):
+    params = asm.PhysicalParams(eta=16.0) if ell else asm.PhysicalParams()
+    disc = Discretization(structured_mesh(mesh_n, mesh_n), ell, params)
+    if kind == "trig":
+        case = mms.default_mms(params, omega=3.0)
+        initial = case.initial_state(disc)
+    else:
+        case = mms.discrete_case(disc, k, temporal="trig", omega=3.0)
+        initial = case.initial_state()
+    traj = march(disc, k, TimeGrid(0.5, 3), initial, case.sources())
+    got = ver.trajectory_errors(traj, case)
+    want = _per_sample_trajectory_errors(traj, case)
+    assert sorted(got) == sorted(want)
+    for key, val in want.items():
+        assert abs(got[key] - val) <= max(1e-12 * abs(val), 1e-14), key
+
+
+def test_field_error_norms_stack_matches_single_calls(params_ell1):
+    disc = Discretization(structured_mesh(2, 2), 1, params_ell1)
+    case = mms.default_mms(params_ell1, omega=3.0)
+    rng = np.random.default_rng(5)
+    sizes = {"u": disc.bdm.ndofs, "v": disc.bdm.ndofs, "w": disc.bdm.ndofs,
+             "p": disc.dgp.ndofs}
+    coeffs = {f: rng.standard_normal((3, n)) for f, n in sizes.items()}
+    exact = [case.exact_closures(t) for t in (0.0, 0.2, 0.45)]
+    stacked = ver.field_error_norms(disc, coeffs, exact)
+    for i in range(3):
+        single = ver.field_error_norms(disc, {f: c[i:i + 1] for f, c in coeffs.items()},
+                                       exact[i:i + 1])
+        for key, val in single.items():
+            assert val.shape == (1,)
+            assert stacked[key][i] == pytest.approx(val[0], rel=1e-12), key
 
 
 # --- projections ------------------------------------------------------------------------
