@@ -7,7 +7,7 @@ measure convergence orders and pointwise mass conservation.
 """
 
 from .assembly import PhysicalParams
-from .mesh import Mesh, structured_mesh, refine_uniform, facet_geometry
+from .mesh import Mesh, structured_mesh, refine_uniform
 from .mms import default_mms, discrete_case
 from .slab import (Discretization, SlabState, SourceSet, TimeGrid, Trajectory,
                    march, project_initial_data)
@@ -20,7 +20,6 @@ __all__ = [
     "Mesh",
     "structured_mesh",
     "refine_uniform",
-    "facet_geometry",
     "build_space",
     "Discretization",
     "SlabState",

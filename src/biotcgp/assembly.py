@@ -1,5 +1,5 @@
 """Spatial operators: interior-penalty elasticity, divergence couplings,
-weighted mass matrices, the density block, and load vectors.
+weighted mass matrices, and load vectors.
 
 All matrices are assembled over the full DOF sets in CSR form with sorted,
 duplicate-free columns; boundary constraints are applied by the callers via
@@ -18,8 +18,8 @@ import scipy.sparse as sp
 from .spaces import FunctionSpace
 
 __all__ = ["PhysicalParams", "AnalyticSource", "FieldSource", "assemble_mass",
-           "assemble_cross_mass", "assemble_div_coupling", "assemble_elasticity",
-           "assemble_elasticity_rhs", "assemble_density_block", "assemble_load"]
+           "assemble_div_coupling", "assemble_elasticity", "assemble_elasticity_rhs",
+           "assemble_load"]
 
 
 def _spd_2x2(k: np.ndarray) -> bool:
@@ -150,14 +150,6 @@ def assemble_mass(space: FunctionSpace, weight) -> sp.csr_matrix:
     return _scatter(space, space, local)
 
 
-def assemble_cross_mass(space_rows: FunctionSpace, space_cols: FunctionSpace) -> sp.csr_matrix:
-    if space_rows is space_cols:
-        return assemble_mass(space_rows, 1.0)
-    ta, tb = space_rows.volume, space_cols.volume
-    local = np.einsum("cq,cqia,cqja->cij", ta.weights, ta.values, tb.values)
-    return _scatter(space_rows, space_cols, local)
-
-
 def assemble_div_coupling(space_from: FunctionSpace, space_p: FunctionSpace,
                           coefficient: float) -> sp.csr_matrix:
     """B[i, j] = coefficient * (p_j, div v_i)."""
@@ -285,18 +277,6 @@ def assemble_elasticity_rhs(space: FunctionSpace, value_fn, grad_fn, mu: float,
                                                 tang_y, jump_i))
         np.add.at(rhs, space.cell_dofs[c0], contrib)
     return rhs
-
-
-def assemble_density_block(space_u: FunctionSpace, space_w: FunctionSpace,
-                           params: PhysicalParams) -> sp.csr_matrix:
-    """Coupled (v, w) inertia block [[rho_bar M, rho_f M], [rho_f M, rho_w M]]."""
-    if params.rho_bar * params.rho_w - params.rho_f ** 2 <= 0:
-        raise ValueError("density block is not positive definite")
-    m_uu = assemble_mass(space_u, 1.0)
-    m_ww = m_uu if space_w is space_u else assemble_mass(space_w, 1.0)
-    m_uw = m_uu if space_w is space_u else assemble_cross_mass(space_u, space_w)
-    return sp.bmat([[params.rho_bar * m_uu, params.rho_f * m_uw],
-                    [params.rho_f * m_uw.T, params.rho_w * m_ww]], format="csr")
 
 
 def assemble_load(space: FunctionSpace, source, t: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Reference-triangle bases, spatial quadrature, and the contravariant map.
+"""Reference-triangle bases and spatial quadrature.
 
 The reference triangle has vertices (0,0), (1,0), (0,1).  Vector elements are
 built from the full polynomial space [P_r]^2 with normal-trace DOFs realized at
@@ -16,8 +16,7 @@ import numpy as np
 
 from .time_basis import gauss_rule
 
-__all__ = ["GeometryError", "ReferenceElement", "reference_element", "triangle_rule",
-           "CellGeometry", "piola_map", "piola_values", "piola_divs", "piola_gradients"]
+__all__ = ["GeometryError", "ReferenceElement", "reference_element", "triangle_rule"]
 
 
 class GeometryError(ValueError):
@@ -284,61 +283,3 @@ def reference_element(family: str, degree: int) -> ReferenceElement:
     dual = np.linalg.inv(dof_matrix)
     dual.setflags(write=False)
     return ReferenceElement("BDM", degree, exps, dual, edge_points)
-
-
-# --- contravariant (Piola) mapping ------------------------------------------
-
-@dataclass(frozen=True)
-class CellGeometry:
-    """Affine map x = B xi + origin of one cell (det B > 0)."""
-
-    matrix: np.ndarray
-    origin: np.ndarray
-    det: float
-    inverse: np.ndarray
-
-    @classmethod
-    def from_vertices(cls, p0, p1, p2) -> "CellGeometry":
-        b = np.column_stack([np.asarray(p1) - p0, np.asarray(p2) - p0])
-        det = float(np.linalg.det(b))
-        if det <= 0.0:
-            raise GeometryError(f"cell map has det J = {det:.3e} <= 0")
-        return cls(b, np.asarray(p0, dtype=float), det, np.linalg.inv(b))
-
-    def to_physical(self, ref_points: np.ndarray) -> np.ndarray:
-        return ref_points @ self.matrix.T + self.origin
-
-    def to_reference(self, points: np.ndarray) -> np.ndarray:
-        return (points - self.origin) @ self.inverse.T
-
-
-def piola_values(geom: CellGeometry, ref_values: np.ndarray) -> np.ndarray:
-    """v = (1/det J) J v_ref; trailing axis is the vector component."""
-    return ref_values @ geom.matrix.T / geom.det
-
-
-def piola_divs(geom: CellGeometry, ref_divs: np.ndarray) -> np.ndarray:
-    return ref_divs / geom.det
-
-
-def piola_gradients(geom: CellGeometry, ref_grads: np.ndarray) -> np.ndarray:
-    """Physical gradient of a Piola-mapped field; axes (..., component, deriv)."""
-    return np.einsum("ab,...bc,cd->...ad", geom.matrix, ref_grads, geom.inverse) / geom.det
-
-
-def piola_map(geom: CellGeometry, v_ref, div_ref=None):
-    """Push a reference vector field to the physical cell.
-
-    Returns callables (v, div_v) on physical coordinates; ``div_ref`` may be
-    omitted when the divergence is not needed.
-    """
-    def v(x):
-        return piola_values(geom, np.asarray(v_ref(geom.to_reference(np.asarray(x)))))
-
-    if div_ref is None:
-        return v, None
-
-    def div_v(x):
-        return piola_divs(geom, np.asarray(div_ref(geom.to_reference(np.asarray(x)))))
-
-    return v, div_v

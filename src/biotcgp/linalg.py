@@ -120,9 +120,14 @@ def factor_system(system: LinearSystem) -> BorderedFactor:
     return BorderedFactor(system.matrix, system.constraints)
 
 
-def lu_solve(system: LinearSystem) -> np.ndarray:
-    """Solve, enforcing relative residual <= 1e-10 (or ||x|| <= 1e-12 if b = 0)."""
-    factor = factor_system(system)
+def lu_solve(system: LinearSystem, factor: BorderedFactor | None = None) -> np.ndarray:
+    """Solve with ``factor`` (factored here if None) under the residual contract:
+    relative residual <= RESIDUAL_TOL, or ||x|| <= ZERO_RHS_TOL if b = 0.
+
+    Slab solves pass their cached factor, so they meet the same contract.
+    """
+    if factor is None:
+        factor = factor_system(system)
     b = system.full_rhs()
     x = factor.solve(b)
     if np.linalg.norm(b) == 0.0:

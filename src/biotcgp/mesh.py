@@ -15,8 +15,8 @@ import numpy as np
 
 from .ioutil import atomic_write_text
 
-__all__ = ["Mesh", "FacetGeometry", "structured_mesh", "refine_uniform",
-           "facet_geometry", "write_vtk_mesh", "write_vtk_edges"]
+__all__ = ["Mesh", "structured_mesh", "refine_uniform", "write_vtk_mesh",
+           "write_vtk_edges"]
 
 
 @dataclass(frozen=True)
@@ -171,34 +171,6 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     fine = _connect(vertices, children)
     fine.validate()
     return fine
-
-
-@dataclass(frozen=True)
-class FacetGeometry:
-    """Oriented facet data: the normal points out of the first adjacent cell."""
-
-    edge: int
-    normal: np.ndarray
-    tangent: np.ndarray
-    midpoint: np.ndarray
-    length: float
-    cells: tuple[int, int]
-
-
-def facet_geometry(mesh: Mesh) -> list[FacetGeometry]:
-    """Per-edge oriented geometry; first adjacent cell is the lower cell index."""
-    out = []
-    for e in range(mesh.num_edges):
-        first = int(mesh.edge_cells[e, 0])
-        centroid = mesh.vertices[mesh.cells[first]].mean(axis=0)
-        n = mesh.edge_normals[e]
-        if np.dot(n, mesh.edge_midpoints[e] - centroid) < 0.0:
-            n = -n
-        t = np.array([-n[1], n[0]])
-        out.append(FacetGeometry(e, n, t, mesh.edge_midpoints[e],
-                                 float(mesh.h_edge[e]),
-                                 (first, int(mesh.edge_cells[e, 1]))))
-    return out
 
 
 def _vtk_header(title: str, dataset: str) -> list[str]:

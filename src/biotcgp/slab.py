@@ -19,15 +19,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly as asm
-from .linalg import LinearSystem, SolverError, factor_system
+from .linalg import LinearSystem, factor_system, lu_solve
 from .mesh import Mesh, write_vtk_edges, write_vtk_mesh
 from .spaces import (FunctionSpace, build_space, interpolate_vector_field,
                      project_scalar_field, remove_mean)
 from .time_basis import gauss_rule, gauss_lobatto_rule, lagrange_basis
 
 __all__ = ["TimeGrid", "SlabState", "SourceSet", "Discretization", "SlabOperators",
-           "Trajectory", "project_initial_data", "build_slab_system", "solve_slab",
-           "march", "export_snapshots"]
+           "Trajectory", "project_initial_data", "march", "export_snapshots"]
 
 FIELDS = ("u", "v", "w", "p")
 
@@ -246,20 +245,13 @@ class SlabOperators:
             parts.append(rhs_m)
         return np.concatenate(parts + [np.zeros(self.k)])
 
-    def system(self, rhs_inner: np.ndarray) -> LinearSystem:
-        return LinearSystem(self.inner_matrix, rhs_inner,
-                            constraints=(self.constraint_rows, np.zeros(self.k)))
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        system = self.system(rhs[:self.k * self.block_size])
+        n = self.k * self.block_size
+        system = LinearSystem(self.inner_matrix, rhs[:n],
+                              constraints=(self.constraint_rows, rhs[n:]))
         if self._factor is None:
             self._factor = factor_system(system)
-        x = self._factor.solve(rhs)
-        if np.linalg.norm(rhs) > 0.0:
-            residual = system.residual(x)
-            if not residual <= 1e-10:
-                raise SolverError(f"slab residual {residual:.3e} exceeds 1e-10")
-        return x
+        return lu_solve(system, self._factor)
 
     def split_nodes(self, solution: np.ndarray) -> list[SlabState]:
         """Unpack the k trial-node blocks into full-DOF states."""
@@ -343,24 +335,6 @@ def project_initial_data(disc: Discretization, u0, v0, w0, p0) -> SlabState:
     for vec in (state.u, state.v, state.w):
         vec[disc.bdm.constrained] = 0.0
     return state
-
-
-def build_slab_system(ops: SlabOperators, state: SlabState, n: int, grid: TimeGrid,
-                      sources: SourceSet) -> LinearSystem:
-    """Assemble one slab system standalone; ``march`` reuses the cached LU."""
-    if not 1 <= n <= grid.num_slabs:
-        raise ValueError(f"slab index {n} outside 1..{grid.num_slabs}")
-    if abs(ops.tau - grid.tau) > 1e-14 * grid.tau:
-        raise ValueError("operators were built for a different slab length")
-    t_left = grid.endpoints[n - 1]
-    rhs = ops.rhs(state, t_left, sources)
-    return ops.system(rhs[:ops.k * ops.block_size])
-
-
-def solve_slab(ops: SlabOperators, system: LinearSystem) -> list[SlabState]:
-    from .linalg import lu_solve
-    solution = lu_solve(system)
-    return ops.split_nodes(solution)
 
 
 def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,

@@ -9,7 +9,7 @@ monomials to the basis dual to those global functionals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,8 +18,8 @@ from . import elements as el
 from .mesh import Mesh
 from .time_basis import gauss_rule, _gauss_rule_any
 
-__all__ = ["FunctionSpace", "build_space", "eval_field", "eval_div", "eval_gradient",
-           "interpolate_vector_field", "project_scalar_field", "remove_mean"]
+__all__ = ["FunctionSpace", "build_space", "interpolate_vector_field",
+           "project_scalar_field", "remove_mean"]
 
 DENSE_EDGE_POINTS = 10   # moment quadrature for interpolating analytic data
 _MONOMIAL_TABLES = (el.eval_vector_monomials, el.eval_vector_monomial_grads,
@@ -300,38 +300,6 @@ def build_space(mesh: Mesh, family: str, degree: int, bc: str | None = None,
         ell = degree - 1 if family == "BDM" else degree
         quad_degree = 2 * (ell + 2)
     return FunctionSpace(mesh, family, degree, bc, quad_degree)
-
-
-def _point_basis(space: FunctionSpace, coeffs: np.ndarray, cell: int, point,
-                 grads: bool = False):
-    """Local coefficients and basis tabulation of ``cell`` at one physical point."""
-    point = np.asarray(point, dtype=float)
-    if not (0 <= cell < space.mesh.num_cells):
-        raise ValueError(f"cell {cell} out of range")
-    ref = space.cell_inverse[cell] @ (point - space.cell_origin[cell])
-    tol = 1e-12
-    if ref[0] < -tol or ref[1] < -tol or ref[0] + ref[1] > 1.0 + tol:
-        raise ValueError(f"point {point} lies outside cell {cell}")
-    tab = space.tabulate_at([cell], point[None, None, :], grads)
-    return np.asarray(coeffs)[space.cell_dofs[cell]], (tab[1] if grads else tab)[0, 0]
-
-
-def eval_field(space: FunctionSpace, coeffs: np.ndarray, cell: int, point):
-    """Point evaluation; scalar for DGP, length-2 vector for BDM."""
-    local, vals = _point_basis(space, coeffs, cell, point)
-    if space.family == "DGP":
-        return float(vals @ local)
-    return vals.T @ local
-
-
-def eval_div(space: FunctionSpace, coeffs: np.ndarray, cell: int, point) -> float:
-    local, grads = _point_basis(space, coeffs, cell, point, grads=True)
-    return float(np.trace(grads, axis1=-2, axis2=-1) @ local)
-
-
-def eval_gradient(space: FunctionSpace, coeffs: np.ndarray, cell: int, point) -> np.ndarray:
-    local, grads = _point_basis(space, coeffs, cell, point, grads=True)
-    return np.einsum("iab,i->ab", grads, local)
 
 
 # -- canonical interpolation / projection of analytic data ---------------------

@@ -54,11 +54,6 @@ def _legendre_pair(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, p_prev
 
 
-def _legendre_deriv(k: int, x: np.ndarray) -> np.ndarray:
-    pk, pkm1 = _legendre_pair(k, x)
-    return k * (x * pk - pkm1) / (x * x - 1.0)
-
-
 def _newton_gauss_nodes(k: int) -> np.ndarray:
     """Roots of P_k on (-1, 1) by Newton iteration, tolerance 1e-15."""
     i = np.arange(1, k + 1)

@@ -9,6 +9,7 @@ from biotcgp.elements import triangle_rule
 from biotcgp.linalg import dense_min_eig_sym
 from biotcgp.mesh import structured_mesh
 from biotcgp.mms import default_mms
+from biotcgp.slab import Discretization, SlabOperators
 
 
 # --- physical parameters -----------------------------------------------------
@@ -162,20 +163,26 @@ def test_zero_coefficient_zero_matrix(mesh2):
 
 # --- density block ----------------------------------------------------------------------
 
-def test_density_block_diagonal_limit(mesh2):
-    space = sps.build_space(mesh2, "BDM", 1, bc="zero_normal")
-    p0 = asm.PhysicalParams(rho_f=0.0, rho_w=1.0)
-    d = asm.assemble_density_block(space, space, p0)
-    n = space.ndofs
+def _inertia_block(params):
+    """The (v, w) inertia block the slab solver uses, on the free DOFs: rows
+    {0, 2} x columns {1, 2} of ``SlabOperators.time_derivative_block``."""
+    ops = SlabOperators(Discretization(structured_mesh(2, 2), 0, params), 1, 0.1)
+    n = ops.n_bdm
+    rows = np.r_[0:n, 2 * n:3 * n]
+    cols = np.r_[n:3 * n]
+    return ops.time_derivative_block[rows][:, cols], n
+
+
+def test_density_block_diagonal_limit():
+    d, n = _inertia_block(asm.PhysicalParams(rho_f=0.0, rho_w=1.0))
     assert abs(d[:n, n:]).max() == 0.0
+    assert abs(d[n:, :n]).max() == 0.0
 
 
-def test_density_block_spd(mesh2, params):
-    space = sps.build_space(mesh2, "BDM", 1, bc="zero_normal")
-    d = asm.assemble_density_block(space, space, params)
+def test_density_block_spd(params):
+    d, _ = _inertia_block(params)
     assert abs(d - d.T).max() <= 1e-12 * abs(d).max()
-    idx = np.concatenate([space.free, space.ndofs + space.free])
-    assert dense_min_eig_sym(d[np.ix_(idx, idx)].toarray()) > 0.0
+    assert dense_min_eig_sym(d.toarray()) > 0.0
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biotcgp import elements as el
+from biotcgp.mesh import _connect
+from biotcgp.spaces import build_space
 
 
 # --- quadrature on the reference triangle --------------------------------------
@@ -99,46 +102,69 @@ def test_unsupported_degrees():
         el.reference_element("RT", 1)
 
 
-# --- Piola map ---------------------------------------------------------------------
+# --- Piola map (FunctionSpace._piola on one-cell meshes) ----------------------------
+
+def _one_cell_space(vertices):
+    mesh = _connect(np.asarray(vertices, dtype=float), np.array([[0, 1, 2]]))
+    return build_space(mesh, "BDM", 2)
+
+
+def _pushed_forward(space, field, ref_points):
+    """Values, divergences and gradients, at the images of ``ref_points``, of
+    the member of ``space`` whose reference field is the quadratic ``field``."""
+    fit_points = el.triangle_rule(5)[0]
+    monos = el.eval_vector_monomials(space.element.exponents, fit_points)   # (m, nq, 2)
+    ref_coeffs = np.linalg.lstsq(monos.reshape(len(monos), -1).T,
+                                 field(fit_points).reshape(-1), rcond=None)[0]
+    # basis_i = sum_m dof_transform[0, m, i] piola(monomial_m)
+    local = np.linalg.solve(space.dof_transform[0], ref_coeffs)
+    points = ref_points @ space.cell_matrix[0].T + space.cell_origin[0]
+    vals, grads = space.tabulate_at([0], points[None], grads=True)
+    return (np.einsum("qia,i->qa", vals[0], local),
+            np.einsum("qiaa,i->q", grads[0], local),
+            np.einsum("qiab,i->qab", grads[0], local))
+
 
 def test_piola_identity_map():
-    geom = el.CellGeometry.from_vertices([0, 0], [1, 0], [0, 1])
+    space = _one_cell_space([[0, 0], [1, 0], [0, 1]])
     field = lambda xi: np.stack([xi[:, 0] ** 2, xi[:, 1]], axis=-1)
     div = lambda xi: 2.0 * xi[:, 0] + 1.0
-    v, dv = el.piola_map(geom, field, div)
     pts = np.array([[0.3, 0.1], [0.2, 0.5]])
-    assert np.allclose(v(pts), field(pts), atol=1e-15)
-    assert np.allclose(dv(pts), div(pts), atol=1e-15)
+    v, dv, _ = _pushed_forward(space, field, pts)
+    assert np.allclose(v, field(pts), atol=1e-13)
+    assert np.allclose(dv, div(pts), atol=1e-13)
 
 
 @settings(max_examples=25, deadline=None)
 @given(s=st.floats(0.2, 3.0))
 def test_piola_uniform_scaling(s):
-    geom = el.CellGeometry.from_vertices([0, 0], [s, 0], [0, s])
+    space = _one_cell_space([[0, 0], [s, 0], [0, s]])
     field = lambda xi: np.stack([xi[:, 0], xi[:, 0] * xi[:, 1]], axis=-1)
     div = lambda xi: 1.0 + xi[:, 0]
-    v, dv = el.piola_map(geom, field, div)
     pts_ref = np.array([[0.25, 0.25], [0.1, 0.6]])
-    pts = geom.to_physical(pts_ref)
+    v, dv, _ = _pushed_forward(space, field, pts_ref)
     # det J = s^2: the divergence scales by 1/s^2 relative to the pullback
-    assert np.allclose(dv(pts), div(pts_ref) / s ** 2, rtol=1e-13)
-    assert np.allclose(v(pts), field(pts_ref) @ geom.matrix.T / s ** 2, rtol=1e-13)
+    assert np.allclose(dv, div(pts_ref) / s ** 2, rtol=1e-12)
+    assert np.allclose(v, field(pts_ref) @ space.cell_matrix[0].T / s ** 2, rtol=1e-12)
 
 
 def test_piola_rejects_flipped_cells():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        _connect(vertices, np.array([[0, 2, 1]]))
+    flipped = dataclasses.replace(_connect(vertices, np.array([[0, 1, 2]])),
+                                  cells=np.array([[0, 2, 1]]))
     with pytest.raises(el.GeometryError):
-        el.CellGeometry.from_vertices([0, 0], [0, 1], [1, 0])
+        build_space(flipped, "BDM", 1)
 
 
 def test_piola_gradient_chain_rule(rng):
-    geom = el.CellGeometry.from_vertices([0.2, 0.1], [1.1, 0.3], [0.4, 0.9])
+    # B = [[0.9, 0.1], [0.3, 0.8]] is not symmetric, so B^-1 and B^-T differ
+    space = _one_cell_space([[0.2, 0.1], [1.1, 0.4], [0.3, 0.9]])
     # reference linear field: gradient is constant and known
     g_ref = rng.standard_normal((2, 2))
-
-    def field(xi):
-        return xi @ g_ref.T
-
-    grads_ref = np.broadcast_to(g_ref, (4, 2, 2))
-    grads_phys = el.piola_gradients(geom, grads_ref)
-    expected = geom.matrix @ g_ref @ geom.inverse / geom.det
-    assert np.allclose(grads_phys, expected, atol=1e-14)
+    _, _, grads = _pushed_forward(space, lambda xi: xi @ g_ref.T,
+                                  np.array([[0.2, 0.3], [0.6, 0.1]]))
+    b = space.cell_matrix[0]
+    expected = b @ g_ref @ np.linalg.inv(b) / space.cell_det[0]
+    assert np.allclose(grads, expected, atol=1e-13)

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from biotcgp import linalg
 from biotcgp.linalg import (LinearSystem, SolverError, dense_min_eig_sym, factor_system,
                             lu_solve)
+from biotcgp.mesh import structured_mesh
+from biotcgp.mms import default_mms
+from biotcgp.slab import Discretization, TimeGrid, march
+from biotcgp.verification import projection_p1
 
 
 def test_identity_solve():
@@ -64,6 +69,17 @@ def test_constraint_rows_enforced():
     factor = factor_system(LinearSystem(a, b, constraints=(c, np.zeros(1))))
     x2 = factor.solve(np.concatenate([b, [0.0]]))
     assert np.allclose(x, x2, atol=0)
+
+
+def test_one_residual_contract(monkeypatch, params, quadratic_field):
+    # the cached-factor slab solves and the standalone solve read one constant
+    disc = Discretization(structured_mesh(2, 2), 0, params)
+    case = default_mms(params)
+    monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-300)
+    with pytest.raises(SolverError):
+        march(disc, 1, TimeGrid(0.5, 2), case.initial_state(disc), case.sources())
+    with pytest.raises(SolverError):
+        projection_p1(disc, *quadratic_field)
 
 
 def test_min_eig_trivial_cases():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biotcgp.mesh import (facet_geometry, refine_uniform, structured_mesh,
-                          write_vtk_edges, write_vtk_mesh)
+from biotcgp.mesh import refine_uniform, structured_mesh, write_vtk_edges, write_vtk_mesh
+from biotcgp.spaces import build_space
 
 
 def test_unit_square_single_quad_counts(mesh1):
@@ -59,27 +59,26 @@ def test_refinement_preserves_min_angle():
     assert abs(refined.min_angle() - mesh.min_angle()) <= 1e-12
 
 
-def test_facet_geometry_orientation(mesh2):
-    facets = facet_geometry(mesh2)
-    for f in facets:
-        assert abs(np.linalg.norm(f.normal) - 1.0) <= 1e-14
-        edge_vec = (mesh2.vertices[mesh2.edges[f.edge, 1]]
-                    - mesh2.vertices[mesh2.edges[f.edge, 0]])
-        assert abs(np.dot(f.normal, edge_vec)) <= 1e-13
+def test_edge_trace_normal_orientation(mesh2):
+    normals = build_space(mesh2, "BDM", 1).edge_traces.normals
+    for e, normal in enumerate(normals):
+        assert abs(np.linalg.norm(normal) - 1.0) <= 1e-14
+        edge_vec = mesh2.vertices[mesh2.edges[e, 1]] - mesh2.vertices[mesh2.edges[e, 0]]
+        assert abs(np.dot(normal, edge_vec)) <= 1e-13
         # outward from the first (lower-index) cell
-        first = f.cells[0]
+        first, second = mesh2.edge_cells[e]
         centroid = mesh2.vertices[mesh2.cells[first]].mean(axis=0)
-        assert np.dot(f.normal, f.midpoint - centroid) > 0.0
-        if f.cells[1] >= 0:
-            other = mesh2.vertices[mesh2.cells[f.cells[1]]].mean(axis=0)
-            assert np.dot(-f.normal, f.midpoint - other) > 0.0
+        assert np.dot(normal, mesh2.edge_midpoints[e] - centroid) > 0.0
+        if second >= 0:
+            other = mesh2.vertices[mesh2.cells[second]].mean(axis=0)
+            assert np.dot(-normal, mesh2.edge_midpoints[e] - other) > 0.0
 
 
 def test_boundary_normal_points_outward(mesh1):
-    facets = facet_geometry(mesh1)
-    right = [f for f in facets if abs(f.midpoint[0] - 1.0) < 1e-14]
-    assert len(right) == 1
-    assert np.allclose(right[0].normal, [1.0, 0.0], atol=1e-14)
+    normals = build_space(mesh1, "BDM", 1).edge_traces.normals
+    right = np.flatnonzero(np.abs(mesh1.edge_midpoints[:, 0] - 1.0) < 1e-14)
+    assert right.size == 1
+    assert np.allclose(normals[right[0]], [1.0, 0.0], atol=1e-14)
 
 
 def test_vtk_exports(tmp_path, mesh2):

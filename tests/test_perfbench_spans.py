@@ -1,4 +1,4 @@
-"""The benchmark tracer (perfbench/spans.py) wraps verification functions by
+"""The benchmark tracer (perfbench/spans.py) wraps biotcgp's functions by
 name; these checks keep that contract with the program."""
 
 import sys
@@ -44,3 +44,21 @@ def test_tracer_counts_one_error_evaluation_per_slab(monkeypatch, params):
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
     assert errs == ver.trajectory_errors(traj, case)
+
+
+def test_tracer_reads_every_slab_residual(monkeypatch, params):
+    # the benchmark's residual check reads slab.residual_max: a solve path that
+    # skipped LinearSystem.residual would leave it at 0 and pass unnoticed
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    disc = Discretization(structured_mesh(2, 2), 0, params)
+    case = mms.default_mms(params)
+    grid = TimeGrid(0.5, 3)
+    tracer = Tracer()
+    tracer.call("root", march, disc, 2, grid, case.initial_state(disc), case.sources())
+
+    metrics = tracer.metrics()
+    assert metrics["slab.solves"] == metrics["linalg.solves"] == grid.num_slabs
+    assert metrics["linalg.factors"] == 1
+    assert 0.0 < metrics["slab.residual_max"] <= 1e-10

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from biotcgp import assembly as asm, mms
+from biotcgp import mms
 from biotcgp import spaces as sps
 from biotcgp.mesh import structured_mesh
 from biotcgp.slab import (Discretization, SlabOperators, SlabState, SourceSet,
-                          TimeGrid, build_slab_system, march,
-                          project_initial_data, solve_slab)
+                          TimeGrid, march, project_initial_data)
 from biotcgp.time_basis import composite_simpson, lagrange_basis
 
 
@@ -101,18 +100,11 @@ def test_build_and_solve_single_slab(disc4, params):
     case = mms.discrete_case(disc4, 1, temporal="poly")
     grid = TimeGrid(0.5, 1)
     ops = SlabOperators(disc4, 1, grid.tau)
-    system = build_slab_system(ops, case.initial_state(), 1, grid, case.sources())
-    nodes = solve_slab(ops, system)
+    rhs = ops.rhs(case.initial_state(), grid.endpoints[0], case.sources())
+    nodes = ops.split_nodes(ops.solve(rhs))
     exact = case.exact_state(grid.tau * ops.g_nodes[0])
     for f in ("u", "v", "w", "p"):
         assert np.abs(getattr(nodes[0], f) - getattr(exact, f)).max() <= 1e-9
-
-
-def test_slab_index_validation(disc4):
-    ops = SlabOperators(disc4, 1, 0.25)
-    grid = TimeGrid(0.5, 2)
-    with pytest.raises(ValueError):
-        build_slab_system(ops, SlabState.zeros(disc4), 3, grid, SourceSet())
 
 
 # --- cGP exactness and marching -----------------------------------------------------
