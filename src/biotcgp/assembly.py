@@ -10,20 +10,20 @@ the one-sided average/jump so tangential Dirichlet data is enforced weakly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .spaces import FunctionSpace
 
-__all__ = ["PhysicalParams", "AnalyticSource", "FieldSource", "assemble_mass",
+__all__ = ["PhysicalParams", "FieldSource", "assemble_mass",
            "assemble_div_coupling", "assemble_elasticity", "assemble_elasticity_rhs",
            "assemble_load"]
 
 
 def _spd_2x2(k: np.ndarray) -> bool:
-    return (abs(k[0, 1] - k[1, 0]) <= 1e-14 * max(1.0, abs(k).max())
+    return (np.isfinite(k).all()
+            and abs(k[0, 1] - k[1, 0]) <= 1e-14 * max(1.0, abs(k).max())
             and np.linalg.eigvalsh(0.5 * (k + k.T)).min() > 0.0)
 
 
@@ -44,21 +44,22 @@ class PhysicalParams:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", np.asarray(self.kappa, dtype=float))
-        if self.rho_s <= 0 or self.rho_f < 0:
-            raise ValueError("densities must be positive (rho_f = 0 is the "
-                             "two-field limit and is allowed)")
+        if not (0.0 < self.rho_s < np.inf and 0.0 <= self.rho_f < np.inf):
+            raise ValueError("densities must be positive and finite (rho_f = 0 is "
+                             "the two-field limit and is allowed)")
         if not 0.0 < self.phi0 < 1.0:
             raise ValueError("phi0 must lie in (0, 1)")
-        if self.rho_w < self.rho_f / self.phi0 or self.rho_w <= 0:
-            raise ValueError("rho_w must satisfy rho_w >= rho_f / phi0 and rho_w > 0")
+        if not (self.rho_f / self.phi0 <= self.rho_w < np.inf and self.rho_w > 0):
+            raise ValueError("rho_w must be finite and satisfy rho_w >= rho_f / phi0 "
+                             "and rho_w > 0")
         if not self.phi0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [phi0, 1]")
-        if self.s0 <= 0 or self.lam <= 0 or self.mu <= 0:
-            raise ValueError("s0, lambda, mu must be positive")
+        if not all(0.0 < v < np.inf for v in (self.s0, self.lam, self.mu)):
+            raise ValueError("s0, lambda, mu must be positive and finite")
         if self.kappa.shape != (2, 2) or not _spd_2x2(self.kappa):
             raise ValueError("permeability must be a symmetric positive definite 2x2 tensor")
-        if self.eta <= 0:
-            raise ValueError("penalty parameter eta must be positive")
+        if not 0.0 < self.eta < np.inf:
+            raise ValueError("penalty parameter eta must be positive and finite")
         if self.rho_bar * self.rho_w - self.rho_f ** 2 <= 0:
             raise ValueError("density block is not positive definite")
 
@@ -70,46 +71,37 @@ class PhysicalParams:
     def kappa_inv(self) -> np.ndarray:
         return np.linalg.inv(self.kappa)
 
-    @property
-    def density_matrix(self) -> np.ndarray:
-        return np.array([[self.rho_bar, self.rho_f], [self.rho_f, self.rho_w]])
-
 
 # --- sources -----------------------------------------------------------------
 
-class AnalyticSource:
-    """Closure source f(points, t); points is (n, 2)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def volume_values(self, space: FunctionSpace, t: float) -> np.ndarray:
-        pts = space.volume.points
-        vals = np.asarray(self.fn(pts.reshape(-1, 2), t))
-        return vals.reshape(pts.shape[:2] + vals.shape[1:])
+def _profile_values(space: FunctionSpace, profile) -> np.ndarray:
+    if not isinstance(profile, np.ndarray):
+        return np.asarray(profile(space.volume.points))
+    if profile.shape != (space.ndofs,):
+        raise ValueError("coefficient profile does not belong to the target space")
+    return space.values_on_quadrature(profile)
 
 
 class FieldSource:
-    """Linear combination of FE fields with scalar time factors.
+    """Source given as a sum of (time factor, profile) terms.
 
-    Exact for the slab systems because the fields live in the discrete spaces
-    being integrated against.
+    A profile is a function of points (..., 2), or the coefficient vector of a
+    field in the target space (exact for the slab systems, which integrate
+    against that space).  Profile values at the volume quadrature points of
+    the target space are computed once; each time only rescales them.
     """
 
-    def __init__(self, space: FunctionSpace, terms):
-        self.space = space
-        self.terms = [(np.asarray(c, dtype=float), f) for c, f in terms]
-
-    @cached_property
-    def _term_values(self) -> list[np.ndarray]:
-        """Each term's field at the volume quadrature points (independent of t)."""
-        return [self.space.values_on_quadrature(coeffs) for coeffs, _ in self.terms]
+    def __init__(self, terms):
+        self.terms = list(terms)
+        self._space = None
+        self._values: list[np.ndarray] = []
 
     def volume_values(self, space: FunctionSpace, t: float) -> np.ndarray:
-        if space.mesh is not self.space.mesh:
-            raise ValueError("source and target spaces live on different meshes")
+        if space is not self._space:
+            self._values = [_profile_values(space, profile) for _, profile in self.terms]
+            self._space = space
         out = None
-        for values, (_, factor) in zip(self._term_values, self.terms):
+        for (factor, _), values in zip(self.terms, self._values):
             contrib = float(factor(t)) * values
             out = contrib if out is None else out + contrib
         return out

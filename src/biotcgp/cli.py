@@ -22,7 +22,7 @@ from .mesh import structured_mesh
 from .mms import default_mms
 from .slab import Discretization, TimeGrid, march, export_snapshots
 from .verification import (StudyResult, mass_conservation_audit, spatial_study,
-                           temporal_study, projection_study, trajectory_errors)
+                           temporal_study, trajectory_errors)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "render_config", "run", "main"]
 
@@ -83,12 +83,12 @@ class RunConfig:
             raise ConfigError("ell must lie in {0, 1}")
         if self.mode.endswith("study") and self.levels < 2:
             raise ConfigError("levels must be >= 2 for studies")
-        if self.total_time <= 0:
-            raise ConfigError("T must be positive")
+        if not 0.0 < self.total_time < np.inf:
+            raise ConfigError("T must be positive and finite")
         if self.base_slabs < 1 or self.base_mesh < 1:
             raise ConfigError("base_slabs and base_mesh must be >= 1")
-        if self.omega <= 0:
-            raise ConfigError("omega must be positive")
+        if not 0.0 < self.omega < np.inf:
+            raise ConfigError("omega must be positive and finite")
         if self.mms not in ("trig", "discrete"):
             raise ConfigError("mms must be 'trig' or 'discrete'")
         self.params()   # full physical-parameter validation
@@ -181,7 +181,10 @@ def run(cfg: RunConfig) -> int:
     """Execute one configuration; returns the process exit status."""
     cfg.validate()
     seed_env = os.environ.get("BIOT_SEED")
-    seed = int(seed_env) if seed_env else cfg.seed
+    try:
+        seed = int(seed_env) if seed_env else cfg.seed
+    except ValueError as exc:
+        raise ConfigError(f"BIOT_SEED: cannot parse {seed_env!r} as int") from exc
     params = cfg.params()
     os.makedirs(cfg.out_dir, exist_ok=True)
     checks: list[CheckResult] = []
@@ -223,14 +226,15 @@ def run(cfg: RunConfig) -> int:
         disc = Discretization(mesh, cfg.ell, params)
         case = default_mms(params, cfg.omega)
         grid = TimeGrid(cfg.total_time, cfg.base_slabs)
-        traj = march(disc, cfg.k, grid, case.initial_state(disc), case.sources())
+        sources = case.sources()
+        traj = march(disc, cfg.k, grid, case.initial_state(disc), sources)
         snap_dir = os.path.join(cfg.out_dir, "snapshots")
         export_snapshots(traj, snap_dir)
         errs = trajectory_errors(traj, case)
         table = [f"{key},{fmt17(val)}" for key, val in sorted(errs.items())]
         atomic_write_text(os.path.join(cfg.out_dir, "single_run_errors.csv"),
                           "name,value\n" + "\n".join(table) + "\n")
-        audit = mass_conservation_audit(traj, case.sources())
+        audit = mass_conservation_audit(traj, sources)
         checks.append(CheckResult("mass_conservation", audit <= 1e-9,
                                   f"measured={audit:.3e} bound<=1e-09"))
     else:  # property-suite

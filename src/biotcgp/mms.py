@@ -1,10 +1,11 @@
 """Manufactured solutions: the analytic trigonometric default plus
 discretely-representable cases used to isolate the temporal error.
 
-The trigonometric case carries hand-derived closures for every derivative the
-harness needs; the expanded source formulas are written out independently so
-the residual self-check genuinely cross-validates the derivation (and a
-finite-difference pass guards the closures themselves).
+Every field, derivative and source of the trigonometric case is a sum of
+scalar time factors times fixed spatial profiles, and is represented as such:
+(time factor, profile) terms.  The source profiles are expanded by hand, apart
+from the field profiles, so the PDE-residual check in the tests cross-validates
+the derivation.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly as asm
-from .slab import Discretization, SlabState, SourceSet, project_initial_data
+from .slab import FIELDS, Discretization, SlabState, SourceSet, project_initial_data
 from .spaces import interpolate_vector_field, project_scalar_field, remove_mean
 
-__all__ = ["TimeFactors", "trig_factors", "poly_factors", "TrigCase",
-           "DiscreteCase", "default_mms", "discrete_case", "self_check"]
+__all__ = ["TimeFactors", "trig_factors", "poly_factors", "U", "W", "P", "grad_U",
+           "div_U", "second_U", "div_W", "grad_P", "TrigCase", "DiscreteCase",
+           "default_mms", "discrete_case"]
 
 PI = np.pi
 
@@ -80,148 +82,142 @@ def _sc(x):
     return sx, cx, sy, cy
 
 
+# -- spatial profiles of the trigonometric solution; x is (..., 2) ---------------
+
+def U(x):
+    """Displacement profile (sin pi x sin pi y, sin pi x sin pi y)."""
+    sx, _, sy, _ = _sc(x)
+    s = sx * sy
+    return np.stack([s, s], axis=-1)
+
+
+def W(x):
+    """Flux profile (sin pi x cos pi y, cos pi x sin pi y)."""
+    sx, cx, sy, cy = _sc(x)
+    return np.stack([sx * cy, cx * sy], axis=-1)
+
+
+def P(x):
+    """Pressure profile cos pi x cos pi y."""
+    _, cx, _, cy = _sc(x)
+    return cx * cy
+
+
+def grad_U(x):
+    sx, cx, sy, cy = _sc(x)
+    row = PI * np.stack([cx * sy, sx * cy], axis=-1)
+    return np.stack([row, row], axis=-2)
+
+
+def div_U(x):
+    sx, cx, sy, cy = _sc(x)
+    return PI * (cx * sy + sx * cy)
+
+
+def second_U(x):
+    """Second derivatives, (..., component, d_a, d_b)."""
+    sx, cx, sy, cy = _sc(x)
+    s = sx * sy
+    h = PI * PI * np.stack([np.stack([-s, cx * cy], axis=-1),
+                            np.stack([cx * cy, -s], axis=-1)], axis=-2)
+    return np.stack([h, h], axis=-3)
+
+
+def div_W(x):
+    _, cx, _, cy = _sc(x)
+    return 2.0 * PI * cx * cy
+
+
+def grad_P(x):
+    sx, cx, sy, cy = _sc(x)
+    return -PI * np.stack([sx * cy, cx * sy], axis=-1)
+
+
 class TrigCase:
     """Default manufactured solution on the unit square.
 
-    u = a(t) (sin pi x sin pi y, sin pi x sin pi y),
-    w = b(t) (sin pi x cos pi y, cos pi x sin pi y),
-    p = c(t) cos pi x cos pi y,
-    so u vanishes on the whole boundary, w has zero normal trace, and p has
-    zero mean for every t.
+    u = a(t) U, w = b(t) W, p = c(t) P with the profiles above, so u vanishes
+    on the whole boundary, w has zero normal trace, and p has zero mean for
+    every t.  ``exact`` holds every field the error norms measure as one
+    (time factor, profile) pair.
     """
 
     def __init__(self, params: asm.PhysicalParams, omega: float = 4.0):
-        if omega <= 0:
-            raise ValueError("frequency must be positive")
+        if not 0.0 < omega < np.inf:
+            raise ValueError("frequency must be positive and finite")
         self.params = params
         self.omega = float(omega)
-        self.tf = trig_factors(omega)
+        tf = self.tf = trig_factors(omega)
+        self.exact = {"u": (tf.a, U), "v": (tf.da, U), "w": (tf.b, W), "p": (tf.c, P),
+                      "grad_u": (tf.a, grad_U), "div_u": (tf.a, div_U),
+                      "second_u": (tf.a, second_U)}
 
-    # -- field closures -----------------------------------------------------
+    def exact_terms(self, times: np.ndarray) -> dict:
+        """Every exact field at the sample times: (factors (S,), profile)."""
+        return {name: (factor(times), profile)
+                for name, (factor, profile) in self.exact.items()}
 
-    def u(self, x, t):
-        sx, _, sy, _ = _sc(x)
-        s = sx * sy
-        return self.tf.a(t) * np.stack([s, s], axis=-1)
-
-    def v(self, x, t):
-        sx, _, sy, _ = _sc(x)
-        s = sx * sy
-        return self.tf.da(t) * np.stack([s, s], axis=-1)
-
-    def v_t(self, x, t):
-        sx, _, sy, _ = _sc(x)
-        s = sx * sy
-        return self.tf.dda(t) * np.stack([s, s], axis=-1)
-
-    def w(self, x, t):
-        sx, cx, sy, cy = _sc(x)
-        return self.tf.b(t) * np.stack([sx * cy, cx * sy], axis=-1)
-
-    def w_t(self, x, t):
-        sx, cx, sy, cy = _sc(x)
-        return self.tf.db(t) * np.stack([sx * cy, cx * sy], axis=-1)
-
-    def p(self, x, t):
-        _, cx, _, cy = _sc(x)
-        return self.tf.c(t) * cx * cy
-
-    def p_t(self, x, t):
-        _, cx, _, cy = _sc(x)
-        return self.tf.dc(t) * cx * cy
-
-    def grad_u(self, x, t):
-        sx, cx, sy, cy = _sc(x)
-        row = PI * np.stack([cx * sy, sx * cy], axis=-1)
-        return self.tf.a(t) * np.stack([row, row], axis=-2)
-
-    def div_u(self, x, t):
-        sx, cx, sy, cy = _sc(x)
-        return self.tf.a(t) * PI * (cx * sy + sx * cy)
-
-    def div_v(self, x, t):
-        sx, cx, sy, cy = _sc(x)
-        return self.tf.da(t) * PI * (cx * sy + sx * cy)
-
-    def grad_div_u(self, x, t):
-        sx, cx, sy, cy = _sc(x)
-        g = PI * PI * (cx * cy - sx * sy)
-        return self.tf.a(t) * np.stack([g, g], axis=-1)
-
-    def div_eps_u(self, x, t):
-        sx, cx, sy, cy = _sc(x)
-        g = PI * PI * (0.5 * cx * cy - 1.5 * sx * sy)
-        return self.tf.a(t) * np.stack([g, g], axis=-1)
-
-    def second_u(self, x, t):
-        sx, cx, sy, cy = _sc(x)
-        s = sx * sy
-        h = PI * PI * np.stack([np.stack([-s, cx * cy], axis=-1),
-                                np.stack([cx * cy, -s], axis=-1)], axis=-2)
-        return self.tf.a(t) * np.stack([h, h], axis=-3)
-
-    def grad_p(self, x, t):
-        sx, cx, sy, cy = _sc(x)
-        return -PI * self.tf.c(t) * np.stack([sx * cy, cx * sy], axis=-1)
-
-    def div_w(self, x, t):
-        _, cx, _, cy = _sc(x)
-        return 2.0 * PI * self.tf.b(t) * cx * cy
-
-    # -- sources (independently expanded formulas) ----------------------------
-
-    def f(self, x, t):
-        prm, tf = self.params, self.tf
-        sx, cx, sy, cy = _sc(x)
-        s = sx * sy
-        common = (-prm.mu * tf.a(t) * PI * PI * (cx * cy - 3.0 * s)
-                  - prm.lam * tf.a(t) * PI * PI * (cx * cy - s))
-        fx = (prm.rho_bar * tf.dda(t) * s + prm.rho_f * tf.db(t) * sx * cy
-              + common - prm.alpha * PI * tf.c(t) * sx * cy)
-        fy = (prm.rho_bar * tf.dda(t) * s + prm.rho_f * tf.db(t) * cx * sy
-              + common - prm.alpha * PI * tf.c(t) * cx * sy)
-        return np.stack([fx, fy], axis=-1)
-
-    def g(self, x, t):
-        prm, tf = self.params, self.tf
-        ki = prm.kappa_inv
-        sx, cx, sy, cy = _sc(x)
-        s = sx * sy
-        wx, wy = sx * cy, cx * sy
-        gx = (prm.rho_f * tf.dda(t) * s + prm.rho_w * tf.db(t) * wx
-              + tf.b(t) * (ki[0, 0] * wx + ki[0, 1] * wy) - PI * tf.c(t) * wx)
-        gy = (prm.rho_f * tf.dda(t) * s + prm.rho_w * tf.db(t) * wy
-              + tf.b(t) * (ki[1, 0] * wx + ki[1, 1] * wy) - PI * tf.c(t) * wy)
-        return np.stack([gx, gy], axis=-1)
-
-    def mass_source(self, x, t):
-        prm, tf = self.params, self.tf
-        sx, cx, sy, cy = _sc(x)
-        return (prm.s0 * tf.dc(t) * cx * cy
-                + prm.alpha * PI * tf.da(t) * (cx * sy + sx * cy)
-                + 2.0 * PI * tf.b(t) * cx * cy)
-
-    # -- harness hooks ---------------------------------------------------------
+    def at(self, name: str, t: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Exact field ``name`` at time t as a function of points."""
+        factor, profile = self.exact[name]
+        scale = factor(t)
+        return lambda x: scale * profile(x)
 
     def sources(self) -> SourceSet:
-        return SourceSet(f=asm.AnalyticSource(self.f), g=asm.AnalyticSource(self.g),
-                         mass=asm.AnalyticSource(self.mass_source))
+        """f, g and the mass source as (time factor, profile) terms.
+
+        The profiles are expanded by hand, independently of the field and
+        derivative profiles, so checking the PDE residual of those against
+        these cross-validates the derivation.
+        """
+        prm, tf = self.params, self.tf
+        ki = prm.kappa_inv
+
+        def along_u(scale):             # scale * (sx sy, sx sy)
+            def profile(x):
+                sx, _, sy, _ = _sc(x)
+                return scale * np.stack([sx * sy, sx * sy], axis=-1)
+            return profile
+
+        def along_w(scale):             # scale * (sx cy, cx sy)
+            def profile(x):
+                sx, cx, sy, cy = _sc(x)
+                return scale * np.stack([sx * cy, cx * sy], axis=-1)
+            return profile
+
+        def elastic(x):
+            sx, cx, sy, cy = _sc(x)
+            s = sx * sy
+            e = -prm.mu * PI * PI * (cx * cy - 3.0 * s) - prm.lam * PI * PI * (cx * cy - s)
+            return np.stack([e, e], axis=-1)
+
+        def drag(x):
+            sx, cx, sy, cy = _sc(x)
+            wx, wy = sx * cy, cx * sy
+            return np.stack([ki[0, 0] * wx + ki[0, 1] * wy,
+                             ki[1, 0] * wx + ki[1, 1] * wy], axis=-1)
+
+        def storage(x):
+            _, cx, _, cy = _sc(x)
+            return prm.s0 * cx * cy
+
+        def compression(x):
+            sx, cx, sy, cy = _sc(x)
+            return prm.alpha * PI * (cx * sy + sx * cy)
+
+        def outflow(x):
+            _, cx, _, cy = _sc(x)
+            return 2.0 * PI * cx * cy
+
+        f = asm.FieldSource([(tf.dda, along_u(prm.rho_bar)), (tf.db, along_w(prm.rho_f)),
+                             (tf.a, elastic), (tf.c, along_w(-prm.alpha * PI))])
+        g = asm.FieldSource([(tf.dda, along_u(prm.rho_f)), (tf.db, along_w(prm.rho_w)),
+                             (tf.b, drag), (tf.c, along_w(-PI))])
+        mass = asm.FieldSource([(tf.dc, storage), (tf.da, compression), (tf.b, outflow)])
+        return SourceSet(f=f, g=g, mass=mass)
 
     def initial_state(self, disc: Discretization) -> SlabState:
-        return project_initial_data(disc,
-                                    lambda x: self.u(x, 0.0), lambda x: self.v(x, 0.0),
-                                    lambda x: self.w(x, 0.0), lambda x: self.p(x, 0.0))
-
-    def exact_closures(self, t: float) -> dict:
-        return {
-            "u": lambda x: self.u(x, t),
-            "v": lambda x: self.v(x, t),
-            "w": lambda x: self.w(x, t),
-            "p": lambda x: self.p(x, t),
-            "grad_u": lambda x: self.grad_u(x, t),
-            "div_u": lambda x: self.div_u(x, t),
-            "second_u": lambda x: self.second_u(x, t),
-        }
+        return project_initial_data(disc, *(self.at(name, 0.0) for name in FIELDS))
 
 
 def default_mms(params: asm.PhysicalParams, omega: float = 4.0) -> TrigCase:
@@ -243,15 +239,11 @@ class DiscreteCase:
         self.tf = tf
 
         bdm, dgp = disc.bdm, disc.dgp
-        u_hat = interpolate_vector_field(bdm, lambda x: np.stack(
-            [np.sin(PI * x[:, 0]) * np.sin(PI * x[:, 1])] * 2, axis=-1))
-        w_hat = interpolate_vector_field(bdm, lambda x: np.stack(
-            [np.sin(PI * x[:, 0]) * np.cos(PI * x[:, 1]),
-             np.cos(PI * x[:, 0]) * np.sin(PI * x[:, 1])], axis=-1))
+        u_hat = interpolate_vector_field(bdm, U)
+        w_hat = interpolate_vector_field(bdm, W)
         for vec in (u_hat, w_hat):
             vec[bdm.constrained] = 0.0
-        p_hat = remove_mean(dgp, project_scalar_field(
-            dgp, lambda x: np.cos(PI * x[:, 0]) * np.cos(PI * x[:, 1])))
+        p_hat = remove_mean(dgp, project_scalar_field(dgp, P))
         self.u_hat, self.w_hat, self.p_hat = u_hat, w_hat, p_hat
 
         free = bdm.free
@@ -260,33 +252,31 @@ class DiscreteCase:
         def riesz(vec_free):
             return bdm.lift(mass_lu.solve(vec_free))
 
-        prm = disc.params
         self.q_elastic = riesz((disc.elasticity[np.ix_(free, free)] @ u_hat[free]))
         self.q_pressure_u = riesz(disc.div_u_alpha[free, :] @ p_hat)
         self.q_kinv = riesz(disc.mass_kinv[np.ix_(free, free)] @ w_hat[free])
         self.q_pressure_w = riesz(disc.div_w[free, :] @ p_hat)
         self.du_hat = disc.div_coefficients(u_hat, disc.div_u_alpha)
         self.dw_hat = disc.div_coefficients(w_hat)
-        self._prm = prm
 
     def sources(self) -> SourceSet:
-        tf, prm = self.tf, self._prm
-        f = asm.FieldSource(self.disc.bdm, [
-            (self.u_hat, lambda t: prm.rho_bar * tf.dda(t)),
-            (self.w_hat, lambda t: prm.rho_f * tf.db(t)),
-            (self.q_elastic, tf.a),
-            (self.q_pressure_u, lambda t: -tf.c(t)),
+        tf, prm = self.tf, self.params
+        f = asm.FieldSource([
+            (lambda t: prm.rho_bar * tf.dda(t), self.u_hat),
+            (lambda t: prm.rho_f * tf.db(t), self.w_hat),
+            (tf.a, self.q_elastic),
+            (lambda t: -tf.c(t), self.q_pressure_u),
         ])
-        g = asm.FieldSource(self.disc.bdm, [
-            (self.u_hat, lambda t: prm.rho_f * tf.dda(t)),
-            (self.w_hat, lambda t: prm.rho_w * tf.db(t)),
-            (self.q_kinv, tf.b),
-            (self.q_pressure_w, lambda t: -tf.c(t)),
+        g = asm.FieldSource([
+            (lambda t: prm.rho_f * tf.dda(t), self.u_hat),
+            (lambda t: prm.rho_w * tf.db(t), self.w_hat),
+            (tf.b, self.q_kinv),
+            (lambda t: -tf.c(t), self.q_pressure_w),
         ])
-        mass = asm.FieldSource(self.disc.dgp, [
-            (self.p_hat, lambda t: prm.s0 * tf.dc(t)),
-            (self.du_hat, tf.da),       # already carries the alpha factor
-            (self.dw_hat, tf.b),
+        mass = asm.FieldSource([
+            (lambda t: prm.s0 * tf.dc(t), self.p_hat),
+            (tf.da, self.du_hat),       # already carries the alpha factor
+            (tf.b, self.dw_hat),
         ])
         return SourceSet(f=f, g=g, mass=mass)
 
@@ -303,91 +293,3 @@ def discrete_case(disc: Discretization, k: int, temporal: str = "trig",
                   omega: float = 4.0) -> DiscreteCase:
     tf = trig_factors(omega) if temporal == "trig" else poly_factors(k)
     return DiscreteCase(disc, tf)
-
-
-# -- self checks ------------------------------------------------------------------
-
-def _fd1(fn, t, h=1e-6):
-    return (fn(t + h) - fn(t - h)) / (2.0 * h)
-
-
-def self_check(case: TrigCase, n_points: int = 100, seed: int = 7) -> dict[str, float]:
-    """Cross-validate the hand-derived closures and sources.
-
-    Residuals combine the individual derivative closures per equation and are
-    compared against the independently expanded source formulas (analytic, so
-    the tolerance is solver-level); finite differences then validate the
-    derivative closures themselves at their own accuracy.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.05, 0.95, size=(n_points, 2))
-    t = float(rng.uniform(0.1, 0.9))
-    prm = case.params
-
-    momentum = (prm.rho_bar * case.v_t(x, t) + prm.rho_f * case.w_t(x, t)
-                - 2.0 * prm.mu * case.div_eps_u(x, t) - prm.lam * case.grad_div_u(x, t)
-                + prm.alpha * case.grad_p(x, t))
-    darcy = (prm.rho_f * case.v_t(x, t) + prm.rho_w * case.w_t(x, t)
-             + case.w(x, t) @ prm.kappa_inv.T + case.grad_p(x, t))
-    mass = (prm.s0 * case.p_t(x, t) + prm.alpha * case.div_v(x, t) + case.div_w(x, t))
-
-    out = {
-        "residual_momentum": float(np.abs(momentum - case.f(x, t)).max()),
-        "residual_darcy": float(np.abs(darcy - case.g(x, t)).max()),
-        "residual_mass": float(np.abs(mass - case.mass_source(x, t)).max()),
-    }
-
-    # first-derivative closures, step 1e-6
-    h = 1e-6
-    fd_v = _fd1(lambda s: case.u(x, s), t, h)
-    out["fd_v"] = float(np.abs(fd_v - case.v(x, t)).max() / max(1.0, np.abs(fd_v).max()))
-    fd_wt = _fd1(lambda s: case.w(x, s), t, h)
-    out["fd_w_t"] = float(np.abs(fd_wt - case.w_t(x, t)).max() / max(1.0, np.abs(fd_wt).max()))
-    fd_pt = _fd1(lambda s: case.p(x, s), t, h)
-    out["fd_p_t"] = float(np.abs(fd_pt - case.p_t(x, t)).max() / max(1.0, np.abs(fd_pt).max()))
-
-    def grad_fd(fn):
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
-        gx = (fn(x + e1) - fn(x - e1)) / (2 * h)
-        gy = (fn(x + e2) - fn(x - e2)) / (2 * h)
-        return np.stack([gx, gy], axis=-1)
-
-    g_fd = grad_fd(lambda y: case.u(y, t))           # (..., comp, deriv)
-    out["fd_grad_u"] = float(np.abs(g_fd - case.grad_u(x, t)).max()
-                             / max(1.0, np.abs(g_fd).max()))
-    gp_fd = grad_fd(lambda y: case.p(y, t))
-    out["fd_grad_p"] = float(np.abs(gp_fd - case.grad_p(x, t)).max()
-                             / max(1.0, np.abs(gp_fd).max()))
-    dv_fd = grad_fd(lambda y: case.w(y, t))
-    out["fd_div_w"] = float(np.abs(dv_fd[..., 0, 0] + dv_fd[..., 1, 1]
-                                   - case.div_w(x, t)).max()
-                            / max(1.0, np.abs(case.div_w(x, t)).max()))
-
-    # second-derivative closures, wider step against roundoff
-    h2 = 1e-4
-    e1, e2 = np.array([h2, 0.0]), np.array([0.0, h2])
-
-    def second_fd(fn):
-        f0 = fn(x)
-        sxx = (fn(x + e1) - 2 * f0 + fn(x - e1)) / h2 ** 2
-        syy = (fn(x + e2) - 2 * f0 + fn(x - e2)) / h2 ** 2
-        sxy = (fn(x + e1 + e2) - fn(x + e1 - e2) - fn(x - e1 + e2)
-               + fn(x - e1 - e2)) / (4 * h2 ** 2)
-        return sxx, sxy, syy
-
-    sxx, sxy, syy = second_fd(lambda y: case.u(y, t))
-    sec = case.second_u(x, t)
-    err = max(np.abs(sxx - sec[..., 0, 0]).max(), np.abs(sxy - sec[..., 0, 1]).max(),
-              np.abs(syy - sec[..., 1, 1]).max())
-    out["fd_second_u"] = float(err / max(1.0, np.abs(sec).max()))
-    # div(eps(u)) from second derivatives: component a = sum_b d_b eps_ab
-    div_eps = 0.5 * (2.0 * sec[..., 0, :, :][..., 0, 0] + sec[..., 1, :, :][..., 0, 1]
-                     + sec[..., 0, :, :][..., 1, 1])
-    div_eps_y = 0.5 * (2.0 * sec[..., 1, :, :][..., 1, 1] + sec[..., 0, :, :][..., 0, 1]
-                       + sec[..., 1, :, :][..., 0, 0])
-    ref = case.div_eps_u(x, t)
-    out["closure_div_eps_u"] = float(max(np.abs(div_eps - ref[..., 0]).max(),
-                                         np.abs(div_eps_y - ref[..., 1]).max())
-                                     / max(1.0, np.abs(ref).max()))
-    return out

@@ -39,8 +39,8 @@ class TimeGrid:
     num_slabs: int
 
     def __post_init__(self):
-        if self.total_time <= 0.0:
-            raise ValueError("final time must be positive")
+        if not 0.0 < self.total_time < np.inf:
+            raise ValueError("final time must be positive and finite")
         if self.num_slabs < 1:
             raise ValueError("need at least one slab")
 
@@ -126,8 +126,8 @@ class Discretization:
     @cached_property
     def p_volume(self) -> np.ndarray:
         """Load vector of the constant 1 against the pressure basis."""
-        return asm.assemble_load(self.dgp, asm.AnalyticSource(
-            lambda x, t: np.ones(x.shape[0])), 0.0)
+        return asm.assemble_load(self.dgp, asm.FieldSource(
+            [(lambda t: 1.0, lambda x: np.ones(x.shape[:-1]))]), 0.0)
 
     @cached_property
     def mass_p_diag(self) -> np.ndarray:

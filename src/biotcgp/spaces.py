@@ -173,12 +173,6 @@ class FunctionSpace:
                   + grad_lam[:, 2, None, :] * (lam[0] * lam[1])[None, :, None])
         return np.stack([grad_b[..., 1], -grad_b[..., 0]], axis=-1)
 
-    # -- counting ------------------------------------------------------------
-
-    @property
-    def n_free(self) -> int:
-        return self.free.size
-
     # -- tabulation ----------------------------------------------------------
 
     def _physical_points(self, ref_points: np.ndarray) -> np.ndarray:

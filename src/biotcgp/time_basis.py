@@ -35,7 +35,6 @@ __all__ = [
     "beta_weights",
     "interpolate",
     "beta_transform",
-    "time_residual",
     "composite_simpson",
     "weighted_identity_suite",
     "derivative_identity_suite",
@@ -291,20 +290,6 @@ def beta_transform(x: SlabPolynomial, beta: BetaWeights) -> SlabPolynomial:
                        for j in range(k)])
     return SlabPolynomial(x.n, x.t_start, x.t_end, "G", LagrangeBasis(_frozen(gauss)),
                           _frozen(coeffs))
-
-
-def time_residual(y: Callable[[float], float], dy: Callable[[float], float], k: int,
-                  t_start: float = 0.0, t_end: float = 1.0, n: int = 0) -> SlabPolynomial:
-    """Commutator of d/dt with Gauss-Lobatto interpolation on one slab.
-
-    Vanishes whenever ``y`` restricted to the slab is a polynomial of degree
-    <= k; otherwise it is the degree-k defect driving the temporal consistency
-    error of the scheme.
-    """
-    iy = interpolate(y, "GL", k, t_start, t_end, n)
-    t_nodes = iy.nodes_physical()
-    coeffs = np.stack([np.asarray(iy.derivative(t)) - np.asarray(dy(t)) for t in t_nodes])
-    return SlabPolynomial(n, t_start, t_end, "GL", iy.basis, _frozen(coeffs))
 
 
 def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

@@ -17,7 +17,7 @@ from . import assembly as asm
 from .ioutil import atomic_write_text, fmt17
 from .linalg import LinearSystem, lu_solve
 from .mesh import structured_mesh
-from .mms import DiscreteCase, default_mms, discrete_case
+from .mms import DiscreteCase, default_mms, discrete_case, div_W
 from .slab import FIELDS, Discretization, SourceSet, TimeGrid, Trajectory, march
 from .spaces import interpolate_vector_field, project_scalar_field
 from .time_basis import gauss_lobatto_rule, gauss_rule, lagrange_basis
@@ -46,14 +46,14 @@ def _on_points(table: np.ndarray, local: np.ndarray) -> np.ndarray:
     return out.transpose(sorted(range(len(order)), key=order.__getitem__) + [table.ndim - 1])
 
 
-def _exact_values(exact: list | None, name: str, points: np.ndarray):
-    """Closure ``name`` of every sample at points (..., 2): (..., *comp, S);
-    0.0 when there are no closures or the key is absent."""
-    if exact is None or exact[0].get(name) is None:
+def _exact_values(exact: dict | None, name: str, points: np.ndarray):
+    """Exact field ``name`` of every sample at points (..., 2): its profile,
+    evaluated once, times the per-sample factors; (..., *comp, S).  0.0 when
+    there is no exact solution or the name is absent."""
+    if exact is None or name not in exact:
         return 0.0
-    flat = points.reshape(-1, 2)
-    vals = np.stack([np.asarray(ex[name](flat)) for ex in exact], axis=-1)
-    return vals.reshape(points.shape[:-1] + vals.shape[1:])
+    factors, profile = exact[name]
+    return np.asarray(profile(points))[..., None] * factors
 
 
 def _integral(weights: np.ndarray, integrand: np.ndarray) -> np.ndarray:
@@ -64,12 +64,14 @@ def _integral(weights: np.ndarray, integrand: np.ndarray) -> np.ndarray:
 
 
 def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
-                      exact: list[dict] | None = None) -> dict[str, np.ndarray]:
-    """Norms of (discrete field - exact closure) for a stack of S samples.
+                      exact: dict | None = None) -> dict[str, np.ndarray]:
+    """Norms of (discrete field - exact field) for a stack of S samples.
 
-    ``coeffs[f]`` is (S, ndofs); ``exact`` is one closure dict per sample, or
-    None to measure the discrete fields themselves (used when the error is a
-    coefficient vector).  A field absent from a closure dict counts as zero.
+    ``coeffs[f]`` is (S, ndofs).  ``exact`` maps a field name (u, v, w, p,
+    grad_u, div_u, second_u) to a separable exact field: per-sample factors
+    (S,) and a profile of points (..., 2).  It is None to measure the
+    discrete fields themselves (used when the error is a coefficient vector).
+    An absent field counts as zero.
 
     Returns (S,) arrays of u_L2, u_DG, u_DG_no_h2, u_Uh, u_div, mrho_vw,
     w_Kinv, p_L2.
@@ -138,7 +140,7 @@ def _stacked_errors(disc: Discretization, case, values: dict[str, np.ndarray],
         states = [case.exact_state(t) for t in times]
         return field_error_norms(disc, {f: v - np.stack([getattr(st, f) for st in states])
                                         for f, v in values.items()})
-    return field_error_norms(disc, values, [case.exact_closures(t) for t in times])
+    return field_error_norms(disc, values, case.exact_terms(np.asarray(times)))
 
 
 def sample_error_norms(traj: Trajectory, case, t: float) -> dict[str, float]:
@@ -367,9 +369,10 @@ def temporal_study(params: asm.PhysicalParams, k: int, ell: int, slab_counts,
     audit_worst = 0.0
     for n_slabs in slab_counts:
         grid = TimeGrid(total_time, int(n_slabs))
-        traj = march(disc, k, grid, case.initial_state(), case.sources())
+        sources = case.sources()
+        traj = march(disc, k, grid, case.initial_state(), sources)
         errs = trajectory_errors(traj, case)
-        audit_worst = max(audit_worst, mass_conservation_audit(traj, case.sources()))
+        audit_worst = max(audit_worst, mass_conservation_audit(traj, sources))
         result.steps.append(grid.tau)
         result.h_values.append(1.0 / mesh_n)
         result.tau_values.append(grid.tau)
@@ -397,22 +400,23 @@ def spatial_study(params: asm.PhysicalParams, ell: int, mesh_sizes, k: int = 2,
         disc = Discretization(mesh, ell, params)
         case = default_mms(params, omega)
         grid = TimeGrid(total_time, n_slabs)
-        traj = march(disc, k, grid, case.initial_state(disc), case.sources())
+        sources = case.sources()
+        traj = march(disc, k, grid, case.initial_state(disc), sources)
         errs = trajectory_errors(traj, case)
-        audit_worst = max(audit_worst, mass_conservation_audit(traj, case.sources()))
+        audit_worst = max(audit_worst, mass_conservation_audit(traj, sources))
         result.steps.append(1.0 / nx)
         result.h_values.append(1.0 / nx)
         result.tau_values.append(grid.tau)
         for key in ("combined_Linf", "u_Uh_Linf", "u_L2_Linf", "mrho_vw_Linf",
                     "w_Kinv_Linf", "p_L2_Linf"):
             result.columns.setdefault(key, []).append(errs[key])
-        last = (disc, case, errs)
+        last = (disc, case, sources, errs)
     result.extras["mass_audit"] = audit_worst
 
     if tau_check and last is not None:
-        disc, case, errs = last
+        disc, case, sources, errs = last
         grid2 = TimeGrid(total_time, 2 * n_slabs)
-        traj2 = march(disc, k, grid2, case.initial_state(disc), case.sources())
+        traj2 = march(disc, k, grid2, case.initial_state(disc), sources)
         errs2 = trajectory_errors(traj2, case)
         rel = max(abs(errs2[key] - errs[key]) / errs[key]
                   for key in ("combined_Linf", "u_L2_Linf"))
@@ -429,20 +433,20 @@ def projection_study(params: asm.PhysicalParams, ell: int, mesh_sizes,
         mesh = structured_mesh(int(nx), int(nx))
         disc = Discretization(mesh, ell, params)
         case = default_mms(params, omega)
-        ex = case.exact_closures(t_star)
+        exact = case.exact_terms(np.array([t_star]))
 
-        p1 = projection_p1(disc, ex["u"], ex["grad_u"])
-        p2 = projection_p2(disc, ex["w"])
-        p3 = projection_p3(disc, ex["p"])
+        p1 = projection_p1(disc, case.at("u", t_star), case.at("grad_u", t_star))
+        p2 = projection_p2(disc, case.at("w", t_star))
+        p3 = projection_p3(disc, case.at("p", t_star))
         zeros = np.zeros((1, disc.bdm.ndofs))
         norms_u = field_error_norms(
             disc, {"u": p1[None], "v": zeros, "w": zeros, "p": np.zeros((1, disc.dgp.ndofs))},
-            [{key: ex[key] for key in ("u", "grad_u", "div_u", "second_u")}])
+            {key: exact[key] for key in ("u", "grad_u", "div_u", "second_u")})
         # the flux interpolant is measured in the displacement slot, whose
         # L2 and divergence norms are the ones reported for it
         norms_wp = field_error_norms(
             disc, {"u": p2[None], "v": zeros, "w": zeros, "p": p3[None]},
-            [{"u": ex["w"], "div_u": lambda x: case.div_w(x, t_star), "p": ex["p"]}])
+            {"u": exact["w"], "div_u": (exact["w"][0], div_W), "p": exact["p"]})
 
         result.steps.append(1.0 / nx)
         result.h_values.append(1.0 / nx)

@@ -5,7 +5,6 @@ pass/fail line per check (run with ``pytest -s`` to see them inline).
 import os
 import time
 
-import numpy as np
 import pytest
 
 from biotcgp import mms, time_basis as tb, verification as ver

@@ -1,10 +1,13 @@
 import os
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biotcgp.cli import ConfigError, RunConfig, main, parse_config, render_config, run
+from biotcgp.cli import (_PARAM_KEYS, _RUN_KEYS, ConfigError, RunConfig, main,
+                         parse_config, render_config, run)
+
+FLOAT_KEYS = ([("run", key) for key, kind in _RUN_KEYS.items() if kind is float]
+              + [("params", key) for key, kind in _PARAM_KEYS.items() if kind is float])
 
 
 def test_empty_config_defaults():
@@ -60,6 +63,13 @@ def test_bad_values_rejected():
         RunConfig(ell=3).validate()
     with pytest.raises(ConfigError, match="parse"):
         parse_config("k = two\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_non_finite_values_rejected(section, key, value):
+    with pytest.raises(ConfigError):
+        parse_config(f"[{section}]\n{key} = {value}\n")
 
 
 def test_property_suite_mode(tmp_path):
@@ -147,3 +157,9 @@ def test_cli_error_paths(tmp_path):
     bad.write_text("[params]\nalpha = 9\n")
     assert main(["--config", str(bad)]) == 2
     assert main(["--config", str(tmp_path / "missing.txt")]) == 2
+
+
+def test_bad_env_seed_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BIOT_SEED", "abc")
+    assert main(["--mode", "property-suite", "--out", str(tmp_path)]) == 2
+    assert "error: BIOT_SEED" in capsys.readouterr().err

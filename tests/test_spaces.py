@@ -27,7 +27,7 @@ def test_bdm1_counts_two_cell(mesh1):
     space = sps.build_space(mesh1, "BDM", 1, bc="zero_normal")
     assert space.ndofs == 10                       # 2 per edge x 5 edges
     assert int(space.constrained.sum()) == 8       # 4 boundary edges x 2
-    assert space.n_free == 2
+    assert space.free.size == 2
 
 
 def test_dgp_counts(mesh1):

@@ -223,31 +223,6 @@ def test_inverse_estimate_tau_scaling(rng):
     assert max(consts) / min(consts) <= 1.25, consts
 
 
-# --- interpolation commutator ---------------------------------------------------
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_time_residual_vanishes_on_polynomials(k):
-    r = tb.time_residual(lambda t: t ** k, lambda t: k * t ** (k - 1), k, 0.2, 0.7)
-    assert np.abs(r(np.linspace(0.2, 0.7, 11))).max() <= 1e-12
-    r0 = tb.time_residual(lambda t: 4.2, lambda t: 0.0, k, 0.2, 0.7)
-    assert np.abs(r0(np.linspace(0.2, 0.7, 11))).max() <= 1e-13
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_time_residual_rate(k):
-    f = lambda t: t ** (k + 1)
-    df = lambda t: (k + 1) * t ** k
-    sups = []
-    taus = [0.5, 0.25, 0.125, 0.0625]
-    for tau in taus:
-        r = tb.time_residual(f, df, k, 1.0, 1.0 + tau)
-        sup = np.abs(r(np.linspace(1.0, 1.0 + tau, 33))).max()
-        assert sup > 0.0
-        sups.append(sup)
-    rates = [np.log2(sups[i] / sups[i + 1]) for i in range(len(sups) - 1)]
-    assert all(abs(r - k) <= 0.1 for r in rates), rates
-
-
 # --- node-transfer identities and the coupling matrix ------------------------------
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -121,11 +121,11 @@ def test_field_error_norms_stack_matches_single_calls(params_ell1):
     sizes = {"u": disc.bdm.ndofs, "v": disc.bdm.ndofs, "w": disc.bdm.ndofs,
              "p": disc.dgp.ndofs}
     coeffs = {f: rng.standard_normal((3, n)) for f, n in sizes.items()}
-    exact = [case.exact_closures(t) for t in (0.0, 0.2, 0.45)]
-    stacked = ver.field_error_norms(disc, coeffs, exact)
+    times = np.array([0.0, 0.2, 0.45])
+    stacked = ver.field_error_norms(disc, coeffs, case.exact_terms(times))
     for i in range(3):
         single = ver.field_error_norms(disc, {f: c[i:i + 1] for f, c in coeffs.items()},
-                                       exact[i:i + 1])
+                                       case.exact_terms(times[i:i + 1]))
         for key, val in single.items():
             assert val.shape == (1,)
             assert stacked[key][i] == pytest.approx(val[0], rel=1e-12), key
@@ -137,7 +137,7 @@ def test_projections_idempotent(disc4, params, params_ell1, quadratic_field):
     # fields already in the spaces are reproduced
     rng = np.random.default_rng(3)
     coeffs = np.zeros(disc4.bdm.ndofs)
-    coeffs[disc4.bdm.free] = rng.standard_normal(disc4.bdm.n_free)
+    coeffs[disc4.bdm.free] = rng.standard_normal(disc4.bdm.free.size)
 
     def val(x):
         # piecewise evaluation via the quadrature tabulation is unavailable at
