@@ -24,7 +24,7 @@ from .slab import Discretization, TimeGrid, march, export_snapshots
 from .verification import (StudyResult, mass_conservation_audit, spatial_study,
                            temporal_study, trajectory_errors)
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "render_config", "run", "main"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
 MODES = ("time-study", "space-study", "single-run", "property-suite")
 DEFAULT_SEED = 20260808
@@ -44,7 +44,6 @@ class RunConfig:
     base_slabs: int = 4
     base_mesh: int = 4
     omega: float = 4.0
-    mms: str = "trig"
     out_dir: str = "out"
     seed: int = DEFAULT_SEED
     rho_s: float = 2.0
@@ -77,8 +76,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}")
-        if self.k < 1:
-            raise ConfigError("k must satisfy k >= 1")
+        if not 1 <= self.k <= tb.MAX_ORDER:
+            raise ConfigError(f"k must lie in 1..{tb.MAX_ORDER}")
         if self.ell not in (0, 1):
             raise ConfigError("ell must lie in {0, 1}")
         if self.mode.endswith("study") and self.levels < 2:
@@ -89,15 +88,13 @@ class RunConfig:
             raise ConfigError("base_slabs and base_mesh must be >= 1")
         if not 0.0 < self.omega < np.inf:
             raise ConfigError("omega must be positive and finite")
-        if self.mms not in ("trig", "discrete"):
-            raise ConfigError("mms must be 'trig' or 'discrete'")
         self.params()   # full physical-parameter validation
         return self
 
 
 _RUN_KEYS = {"mode": str, "k": int, "ell": int, "levels": int, "T": float,
-             "base_slabs": int, "base_mesh": int, "omega": float, "mms": str,
-             "out_dir": str, "seed": int}
+             "base_slabs": int, "base_mesh": int, "omega": float, "out_dir": str,
+             "seed": int}
 _PARAM_KEYS = {"rho_s": float, "rho_f": float, "phi0": float, "rho_w": float,
                "alpha": float, "s0": float, "lambda": float, "mu": float,
                "kappa_xx": float, "kappa_xy": float, "kappa_yy": float,
@@ -138,18 +135,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"key {key!r}: cannot parse {value!r} as "
                               f"{caster.__name__}") from exc
     return cfg.validate()
-
-
-def render_config(cfg: RunConfig) -> str:
-    lines = ["[run]"]
-    for key in _RUN_KEYS:
-        lines.append(f"{key} = {getattr(cfg, _ALIASES.get(key, key))}")
-    lines.append("")
-    lines.append("[params]")
-    for key in _PARAM_KEYS:
-        value = getattr(cfg, _ALIASES.get(key, key))
-        lines.append(f"{key} = {'' if value is None else value}")
-    return "\n".join(lines) + "\n"
 
 
 # --- execution ------------------------------------------------------------------

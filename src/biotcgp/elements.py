@@ -1,9 +1,10 @@
 """Reference-triangle bases and spatial quadrature.
 
-The reference triangle has vertices (0,0), (1,0), (0,1).  Vector elements are
-built from the full polynomial space [P_r]^2 with normal-trace DOFs realized at
-Gauss points of each edge plus the classical interior moments; scalar DG
-elements use an L2-orthonormal modal basis so cell mass matrices are diagonal.
+The reference triangle has vertices (0,0), (1,0), (0,1).  Vector elements span
+the full polynomial space [P_r]^2 with normal-trace DOFs realized at Gauss
+points of each edge plus the classical interior moments; their dual basis is
+built per cell by ``spaces.FunctionSpace``.  Scalar DG elements use an
+L2-orthonormal modal basis so cell mass matrices are diagonal.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ class GeometryError(ValueError):
     """Degenerate or negatively oriented cell map."""
 
 
-# --- reference triangle data ----------------------------------------------
-
-REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-# local edges (v0,v1), (v1,v2), (v2,v0) with outward unit normals
-REF_EDGES = ((0, 1), (1, 2), (2, 0))
-REF_EDGE_NORMALS = np.array([[0.0, -1.0], [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
-                             [-1.0, 0.0]])
-
+# --- monomial exponents and exact moments ----------------------------------
 
 def scalar_exponents(degree: int) -> list[tuple[int, int]]:
     """Monomial exponents of P_degree, ordered by total degree."""
@@ -124,7 +118,6 @@ def _scalar_second(a, b, x, y):
 def eval_vector_monomials(exps, points: np.ndarray) -> np.ndarray:
     """[P_r]^2 monomials as (m,0) block then (0,m) block; shape (2*nm, np, 2)."""
     scal = eval_scalar_monomials(exps, points)
-    nm = scal.shape[0]
     zeros = np.zeros_like(scal)
     top = np.stack([scal, zeros], axis=-1)
     bot = np.stack([zeros, scal], axis=-1)
@@ -153,81 +146,43 @@ def eval_vector_monomial_seconds(exps, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_vector_monomial_divs(exps, points: np.ndarray) -> np.ndarray:
-    g = eval_scalar_monomial_grads(exps, points)
-    return np.concatenate([g[..., 0], g[..., 1]])
-
-
 # --- reference elements -----------------------------------------------------
 
 @dataclass(frozen=True)
 class ReferenceElement:
-    """Dual (nodal) basis for BDM_r vectors or orthonormal modal P_l scalars.
+    """Reference data of BDM_r vectors or orthonormal modal P_l scalars.
 
-    For BDM the DOFs are r+1 normal point values at Gauss points per edge plus
-    (for r = 2) the interior moments against constant fields and the bubble
-    curl; ``dual_coeffs[m, i]`` expands basis i in the monomial list.  For DGP
-    the basis is orthonormal on the reference triangle and the DOFs are the
-    matching L2 moments, so duality is exact by construction.
+    BDM keeps what ``FunctionSpace`` builds its per-cell dual basis from: the
+    monomial exponents of [P_r]^2, the r+1 Gauss points per edge at which the
+    normal values are taken, and the DOF counts (for r = 2 also the interior
+    moments against constant fields and the bubble curl).  DGP keeps its
+    modal basis, ``modal_coeffs[m, i]`` expanding basis i in the monomial list;
+    it is orthonormal on the reference triangle and the DOFs are the matching
+    L2 moments, so duality is exact by construction.
     """
 
     family: str
     degree: int
     exponents: tuple = field(repr=False)
-    dual_coeffs: np.ndarray = field(repr=False)
     edge_points: np.ndarray = field(repr=False)   # Gauss nodes on [0,1]; empty for DGP
+    modal_coeffs: np.ndarray | None = field(default=None, repr=False)   # DGP only
 
     @property
     def dim(self) -> int:
-        return self.dual_coeffs.shape[1]
+        return len(self.exponents) * (2 if self.family == "BDM" else 1)
 
     @property
     def n_edge_dofs(self) -> int:
-        return self.edge_points.size if self.family == "BDM" else 0
+        return self.edge_points.size
 
     @property
     def n_interior_dofs(self) -> int:
-        if self.family == "BDM":
-            return self.dim - 3 * self.n_edge_dofs
-        return self.dim
+        return self.dim - 3 * self.n_edge_dofs
 
-    # tabulation of the nodal basis on the reference element
     def tabulate(self, points: np.ndarray) -> np.ndarray:
-        """Basis values at points of any leading shape; (..., nd, [2])."""
-        if self.family == "BDM":
-            monos = eval_vector_monomials(self.exponents, points)
-            return np.einsum("mi,m...a->...ia", self.dual_coeffs, monos)
+        """DGP modal basis values at points of any leading shape; (..., nd)."""
         monos = eval_scalar_monomials(self.exponents, points)
-        return np.einsum("mi,m...->...i", self.dual_coeffs, monos)
-
-    def tabulate_div(self, points: np.ndarray) -> np.ndarray:
-        if self.family != "BDM":
-            raise ValueError("divergence tabulation only for vector elements")
-        divs = eval_vector_monomial_divs(self.exponents, points)
-        return np.einsum("mi,mq->qi", self.dual_coeffs, divs)
-
-    def apply_dofs_bdm(self, fn) -> np.ndarray:
-        """Apply the reference DOF functionals to a vector field callable."""
-        values = []
-        for (v0, v1), normal in zip(REF_EDGES, REF_EDGE_NORMALS):
-            a, b = REF_VERTICES[v0], REF_VERTICES[v1]
-            pts = a[None, :] + self.edge_points[:, None] * (b - a)[None, :]
-            values.extend(np.asarray(fn(pts)) @ normal)
-        if self.n_interior_dofs:
-            qp, qw = triangle_rule(2 * self.degree + 2)
-            vals = np.asarray(fn(qp))
-            values.append(float(qw @ vals[:, 0]))
-            values.append(float(qw @ vals[:, 1]))
-            values.append(float(qw @ np.einsum("qa,qa->q", vals, _bubble_curl(qp))))
-        return np.asarray(values)
-
-
-def _bubble_curl(points: np.ndarray) -> np.ndarray:
-    """curl of the cubic bubble (1-x-y)xy on the reference triangle."""
-    x, y = points[..., 0], points[..., 1]
-    bx = y - 2.0 * x * y - y * y
-    by = x - x * x - 2.0 * x * y
-    return np.stack([by, -bx], axis=-1)
+        return np.einsum("mi,m...->...i", self.modal_coeffs, monos)
 
 
 def _orthonormal_modal(degree: int) -> tuple[tuple, np.ndarray]:
@@ -254,32 +209,10 @@ def reference_element(family: str, degree: int) -> ReferenceElement:
             raise ValueError(f"DGP degree {degree} unsupported (0 or 1)")
         exps, coeffs = _orthonormal_modal(degree)
         coeffs.setflags(write=False)
-        return ReferenceElement(family, degree, exps, coeffs, np.zeros(0))
+        return ReferenceElement(family, degree, exps, np.zeros(0), coeffs)
     if family != "BDM":
         raise ValueError(f"unknown element family {family!r}")
     if degree not in (1, 2):
         raise ValueError(f"BDM degree {degree} unsupported (1 or 2)")
-
-    exps = tuple(scalar_exponents(degree))
-    edge_points = gauss_rule(degree + 1).nodes
-    ndofs = (degree + 1) * (degree + 2)
-
-    rows = []
-    for (v0, v1), normal in zip(REF_EDGES, REF_EDGE_NORMALS):
-        a, b = REF_VERTICES[v0], REF_VERTICES[v1]
-        pts = a[None, :] + edge_points[:, None] * (b - a)[None, :]
-        monos = eval_vector_monomials(exps, pts)           # (2nm, npe, 2)
-        rows.append(np.einsum("mqa,a->qm", monos, normal))
-    dof_matrix = np.concatenate(rows)
-    if degree == 2:
-        qp, qw = triangle_rule(2 * degree + 2)
-        monos = eval_vector_monomials(exps, qp)
-        const_x = np.einsum("q,mq->m", qw, monos[..., 0])
-        const_y = np.einsum("q,mq->m", qw, monos[..., 1])
-        bubble = np.einsum("q,mqa,qa->m", qw, monos, _bubble_curl(qp))
-        dof_matrix = np.vstack([dof_matrix, const_x, const_y, bubble])
-    if dof_matrix.shape != (ndofs, ndofs):
-        raise AssertionError("BDM DOF matrix has wrong shape")
-    dual = np.linalg.inv(dof_matrix)
-    dual.setflags(write=False)
-    return ReferenceElement("BDM", degree, exps, dual, edge_points)
+    return ReferenceElement("BDM", degree, tuple(scalar_exponents(degree)),
+                            gauss_rule(degree + 1).nodes)

@@ -40,7 +40,6 @@ class Mesh:
     h_cell: np.ndarray = field(repr=False)
     h_edge: np.ndarray = field(repr=False)
     edge_midpoints: np.ndarray = field(repr=False)
-    edge_tangents: np.ndarray = field(repr=False)
     edge_normals: np.ndarray = field(repr=False)
 
     @property
@@ -58,18 +57,6 @@ class Mesh:
     @property
     def domain_area(self) -> float:
         return float(self.areas.sum())
-
-    def min_angle(self) -> float:
-        """Smallest interior angle over all cells (radians)."""
-        p = self.vertices[self.cells]
-        worst = np.inf
-        for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
-            cosang = np.einsum("ij,ij->i", a, b) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            worst = min(worst, float(np.arccos(np.clip(cosang, -1.0, 1.0)).min()))
-        return worst
 
     def validate(self) -> None:
         """Check the structural invariants; raises AssertionError on violation."""
@@ -123,10 +110,10 @@ def _connect(vertices: np.ndarray, cells: np.ndarray) -> Mesh:
     midpoints = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
 
     for a in (vertices, cells, edges, cell_edges, edge_cells, boundary, areas,
-              h_cell, h_edge, midpoints, tangents, normals):
+              h_cell, h_edge, midpoints, normals):
         a.setflags(write=False)
     return Mesh(vertices, cells, edges, cell_edges, edge_cells, boundary,
-                areas, h_cell, h_edge, midpoints, tangents, normals)
+                areas, h_cell, h_edge, midpoints, normals)
 
 
 def structured_mesh(nx: int, ny: int,

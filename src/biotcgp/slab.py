@@ -199,7 +199,6 @@ class SlabOperators:
         self.theta_mass = g.weights[:, None] * basis_g0.eval_all(g.nodes)   # (k, k+1)
         self.theta_src = g.weights[:, None] * basis_gl.eval_all(g.nodes)    # (k, k+1)
         self.gl_nodes = gauss_lobatto_rule(k).nodes
-        self.g_nodes = g.nodes
         self.end_weights = basis_g0.eval_all(np.asarray(1.0))               # (k+1,)
 
         self.inner_matrix = (
@@ -234,12 +233,13 @@ class SlabOperators:
 
     def rhs(self, state: SlabState, t_left: float, sources: SourceSet) -> np.ndarray:
         x0 = self.restrict_state(state)
+        # the left-end value enters through the time derivative only: the G0
+        # node-0 basis vanishes at every Gauss node, so theta_mass[:, 0] == 0
         tx0 = self.time_derivative_block @ x0
-        sx0 = self.stationary_block @ x0
         loads = [self._load_stack(sources, t_left + self.tau * s) for s in self.gl_nodes]
         parts = []
         for m in range(self.k):
-            rhs_m = -self.theta_dt[m, 0] * tx0 - self.tau * self.theta_mass[m, 0] * sx0
+            rhs_m = -self.theta_dt[m, 0] * tx0
             for a, load in enumerate(loads):
                 rhs_m = rhs_m + self.tau * self.theta_src[m, a] * load
             parts.append(rhs_m)
@@ -279,7 +279,6 @@ class Trajectory:
     k: int
     disc: Discretization
     coeffs: dict[str, np.ndarray]
-    g0_nodes: np.ndarray = field(repr=False)
     end_weights: np.ndarray = field(repr=False)
 
     def endpoint(self, field_name: str, n: int) -> np.ndarray:
@@ -355,8 +354,7 @@ def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
                 coeffs[fname][n - 1, j + 1] = getattr(node_state, fname)
         state = SlabState(*(np.einsum("i,id->d", ops.end_weights, coeffs[f][n - 1])
                             for f in FIELDS))
-    basis = lagrange_basis("G0", k)
-    return Trajectory(grid, k, disc, coeffs, basis.nodes, ops.end_weights)
+    return Trajectory(grid, k, disc, coeffs, ops.end_weights)
 
 
 def export_snapshots(traj: Trajectory, out_dir: str, stem: str = "snapshot") -> list[str]:

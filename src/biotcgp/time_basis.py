@@ -1,4 +1,4 @@
-"""Temporal quadrature rules, Lagrange bases and the weighted polynomial algebra.
+"""Temporal quadrature rules, Lagrange bases and the weighted identity suites.
 
 Everything lives on the reference interval [0, 1]; slabs of a time mesh are
 reached through the affine map t = t0 + tau * s.  Three node families drive the
@@ -13,7 +13,7 @@ cGP(k) scheme:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -26,15 +26,11 @@ MAX_ORDER = 6
 __all__ = [
     "QuadratureRule",
     "LagrangeBasis",
-    "BetaWeights",
-    "SlabPolynomial",
     "gauss_rule",
     "gauss_lobatto_rule",
     "node_family",
     "lagrange_basis",
     "beta_weights",
-    "interpolate",
-    "beta_transform",
     "composite_simpson",
     "weighted_identity_suite",
     "derivative_identity_suite",
@@ -208,88 +204,9 @@ def lagrange_basis(kind: str, k: int) -> LagrangeBasis:
     return LagrangeBasis(node_family(kind, k))
 
 
-@dataclass(frozen=True)
-class BetaWeights:
+def beta_weights(k: int) -> np.ndarray:
     """Reciprocal-Gauss-node weights; beta[0] = 1, beta[i] = 1 / t_i for i >= 1."""
-
-    beta: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.beta.size - 1
-
-
-def beta_weights(k: int) -> BetaWeights:
-    g = gauss_rule(k).nodes
-    return BetaWeights(_frozen(np.concatenate(([1.0], 1.0 / g))))
-
-
-@dataclass(frozen=True)
-class SlabPolynomial:
-    """Polynomial on one slab, stored nodally in a reference Lagrange basis.
-
-    ``coeffs`` has shape (n_nodes, ...) -- trailing axes hold field DOF vectors
-    when the coefficients are not scalars.
-    """
-
-    n: int
-    t_start: float
-    t_end: float
-    kind: str
-    basis: LagrangeBasis = field(repr=False)
-    coeffs: np.ndarray = field(repr=False)
-
-    @property
-    def tau(self) -> float:
-        return self.t_end - self.t_start
-
-    @property
-    def degree(self) -> int:
-        return self.basis.degree
-
-    def nodes_physical(self) -> np.ndarray:
-        return self.t_start + self.tau * self.basis.nodes
-
-    def _ref(self, t) -> np.ndarray:
-        return (np.asarray(t, dtype=float) - self.t_start) / self.tau
-
-    def __call__(self, t):
-        if np.ndim(t) == 0:   # exact nodal hits return the stored coefficient
-            hits = np.flatnonzero(self.nodes_physical() == t)
-            if hits.size:
-                return self.coeffs[hits[0]]
-        weights = self.basis.eval_all(self._ref(t))
-        return np.tensordot(weights, self.coeffs, axes=(-1, 0))
-
-    def derivative(self, t):
-        weights = self.basis.deriv_all(self._ref(t)) / self.tau
-        return np.tensordot(weights, self.coeffs, axes=(-1, 0))
-
-
-def interpolate(f: Callable[[float], float | np.ndarray], kind: str, k: int,
-                t_start: float = 0.0, t_end: float = 1.0, n: int = 0) -> SlabPolynomial:
-    """Nodal interpolant of ``f`` on one slab in the requested family."""
-    basis = lagrange_basis(kind, k)
-    tau = t_end - t_start
-    values = np.stack([np.asarray(f(t_start + tau * s), dtype=float) for s in basis.nodes])
-    return SlabPolynomial(n, t_start, t_end, kind, basis, _frozen(values))
-
-
-def beta_transform(x: SlabPolynomial, beta: BetaWeights) -> SlabPolynomial:
-    """Weighted derivative transfer from the G0 basis onto the G basis.
-
-    The result carries coefficients beta_j * x'(t_j) at the Gauss nodes, i.e.
-    the stabilized companion polynomial of ``x`` used by the slab analysis.
-    """
-    if x.kind != "G0":
-        raise ValueError("beta_transform expects a polynomial in the G0 basis")
-    k = x.degree
-    gauss = gauss_rule(k).nodes
-    t_phys = x.t_start + x.tau * gauss
-    coeffs = np.stack([beta.beta[j + 1] * np.asarray(x.derivative(t_phys[j]))
-                       for j in range(k)])
-    return SlabPolynomial(x.n, x.t_start, x.t_end, "G", LagrangeBasis(_frozen(gauss)),
-                          _frozen(coeffs))
+    return _frozen(np.concatenate(([1.0], 1.0 / gauss_rule(k).nodes)))
 
 
 def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -305,11 +222,13 @@ def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 def _poly_from_coeffs(basis: LagrangeBasis, coeffs: np.ndarray, tau: float = 1.0):
+    """Value and derivative, on [0, tau], of the polynomial with these nodal
+    coefficients in the reference basis."""
     def value(t):
-        return basis.eval_all(t) @ coeffs
+        return basis.eval_all(t / tau) @ coeffs
 
     def deriv(t):
-        return (basis.deriv_all(t) @ coeffs) / tau
+        return (basis.deriv_all(t / tau) @ coeffs) / tau
 
     return value, deriv
 
@@ -327,7 +246,7 @@ def weighted_identity_suite(k: int, trials: int = 100, seed: int = 0) -> dict[st
     rng = np.random.default_rng(seed)
     b_g0 = lagrange_basis("G0", k)
     b_g = lagrange_basis("G", k)
-    beta = beta_weights(k).beta
+    beta = beta_weights(k)
     rule = gauss_rule(k)
 
     # Gram matrix of the G0 basis: the norm-equivalence constants
@@ -351,15 +270,9 @@ def weighted_identity_suite(k: int, trials: int = 100, seed: int = 0) -> dict[st
         xv, _ = _poly_from_coeffs(b_g0, x)
         yv, _ = _poly_from_coeffs(b_g0, y)
         zv, _ = _poly_from_coeffs(b_g, z)
-
-        def wx_g0(t):
-            return b_g0.eval_all(t) @ (beta * x)
-
-        def wx_g(t):
-            return b_g.eval_all(t) @ (beta[1:] * x[1:])
-
-        def wy_g(t):
-            return b_g.eval_all(t) @ (beta[1:] * y[1:])
+        wx_g0, _ = _poly_from_coeffs(b_g0, beta * x)
+        wx_g, _ = _poly_from_coeffs(b_g, beta[1:] * x[1:])
+        wy_g, _ = _poly_from_coeffs(b_g, beta[1:] * y[1:])
 
         lhs = composite_simpson(lambda t: wx_g0(t) * zv(t), 0.0, 1.0)
         rhs = composite_simpson(lambda t: wx_g(t) * zv(t), 0.0, 1.0)
@@ -394,9 +307,11 @@ def derivative_identity_suite(k: int, trials: int = 100, seed: int = 0,
     if k > 4:
         raise ValueError("identity suite supports k <= 4")
     rng = np.random.default_rng(seed)
-    basis = lagrange_basis("G0", k)
-    bw = beta_weights(k)
-    beta = bw.beta
+    b_g0 = lagrange_basis("G0", k)
+    b_g = lagrange_basis("G", k)
+    beta = beta_weights(k)
+    # x_beta is the G-basis polynomial with values beta_j * x'(t_j)
+    to_beta = beta[1:, None] * b_g0.deriv_all(gauss_rule(k).nodes) / tau   # (k, k+1)
 
     err_pair = 0.0
     err_sym = 0.0
@@ -405,31 +320,27 @@ def derivative_identity_suite(k: int, trials: int = 100, seed: int = 0,
     for _ in range(trials):
         xc = rng.standard_normal(k + 1)
         yc = rng.standard_normal(k + 1)
-        x = SlabPolynomial(0, 0.0, tau, "G0", basis, xc)
-        y = SlabPolynomial(0, 0.0, tau, "G0", basis, yc)
-        xb = beta_transform(x, bw)
-        yb = beta_transform(y, bw)
+        x, dx = _poly_from_coeffs(b_g0, xc, tau)
+        _, dy = _poly_from_coeffs(b_g0, yc, tau)
+        wx, _ = _poly_from_coeffs(b_g0, beta * xc, tau)
+        xb, _ = _poly_from_coeffs(b_g, to_beta @ xc, tau)
+        yb, _ = _poly_from_coeffs(b_g, to_beta @ yc, tau)
 
         # pairing of x against y_beta equals the weighted-x pairing against dy
-        lhs = composite_simpson(lambda t: np.asarray(x(t)) * np.asarray(yb(t)), 0.0, tau)
-        rhs = composite_simpson(
-            lambda t: (basis.eval_all(t / tau) @ (beta * xc)) * np.asarray(y.derivative(t)),
-            0.0, tau)
+        lhs = composite_simpson(lambda t: x(t) * yb(t), 0.0, tau)
+        rhs = composite_simpson(lambda t: wx(t) * dy(t), 0.0, tau)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         err_pair = max(err_pair, abs(lhs - rhs) / scale)
 
         # symmetry of the derivative pairing
-        lhs = composite_simpson(lambda t: np.asarray(x.derivative(t)) * np.asarray(yb(t)),
-                                0.0, tau)
-        rhs = composite_simpson(lambda t: np.asarray(xb(t)) * np.asarray(y.derivative(t)),
-                                0.0, tau)
+        lhs = composite_simpson(lambda t: dx(t) * yb(t), 0.0, tau)
+        rhs = composite_simpson(lambda t: xb(t) * dy(t), 0.0, tau)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         err_sym = max(err_sym, abs(lhs - rhs) / scale)
 
-        energy = composite_simpson(lambda t: np.asarray(x.derivative(t)) * np.asarray(xb(t)),
-                                   0.0, tau)
-        dnorm2 = composite_simpson(lambda t: np.asarray(x.derivative(t)) ** 2, 0.0, tau)
-        bnorm2 = composite_simpson(lambda t: np.asarray(xb(t)) ** 2, 0.0, tau)
+        energy = composite_simpson(lambda t: dx(t) * xb(t), 0.0, tau)
+        dnorm2 = composite_simpson(lambda t: dx(t) ** 2, 0.0, tau)
+        bnorm2 = composite_simpson(lambda t: xb(t) ** 2, 0.0, tau)
         if dnorm2 > 1e-28:
             r = energy / dnorm2
             ratio_energy_lo, ratio_energy_hi = min(ratio_energy_lo, r), max(ratio_energy_hi, r)

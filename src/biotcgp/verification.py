@@ -23,10 +23,9 @@ from .spaces import interpolate_vector_field, project_scalar_field
 from .time_basis import gauss_lobatto_rule, gauss_rule, lagrange_basis
 
 __all__ = ["field_error_norms", "sample_error_norms", "trajectory_errors",
-           "mass_conservation_audit",
-           "kinematic_consistency", "energy_at_endpoints", "projection_p1",
-           "projection_p2", "projection_p3", "eoc", "StudyResult",
-           "temporal_study", "spatial_study", "projection_study"]
+           "mass_conservation_audit", "projection_p1", "projection_p2",
+           "projection_p3", "eoc", "StudyResult", "temporal_study", "spatial_study",
+           "projection_study"]
 
 
 # --- spatial error norms -----------------------------------------------------
@@ -189,7 +188,7 @@ def trajectory_errors(traj: Trajectory, case) -> dict[str, float]:
     return out
 
 
-# --- conservation and consistency audits ----------------------------------------
+# --- conservation audit ----------------------------------------------------------
 
 def mass_conservation_audit(traj: Trajectory, sources: SourceSet) -> float:
     """Worst relative L2(Omega) residual of the discrete mass balance
@@ -236,45 +235,6 @@ def mass_conservation_audit(traj: Trajectory, sources: SourceSet) -> float:
             scale = max(l2(tm) for tm in terms)
             worst = max(worst, res_norm / scale if scale > 0.0 else res_norm)
     return worst
-
-
-def kinematic_consistency(traj: Trajectory) -> float:
-    """Worst relative mass-norm of d/dt u - v at the Gauss points."""
-    disc, k, grid = traj.disc, traj.k, traj.grid
-    basis_g0 = lagrange_basis("G0", k)
-    g_nodes = gauss_rule(k).nodes
-    val_w = basis_g0.eval_all(g_nodes)
-    der_w = basis_g0.deriv_all(g_nodes) / grid.tau
-    m = disc.mass_bdm
-    worst = 0.0
-    for n in range(grid.num_slabs):
-        du = der_w @ traj.coeffs["u"][n]
-        vv = val_w @ traj.coeffs["v"][n]
-        for i in range(k):
-            d = du[i] - vv[i]
-            dn = np.sqrt(float(d @ (m @ d)))
-            scale = max(np.sqrt(float(vv[i] @ (m @ vv[i]))), 1e-30)
-            worst = max(worst, dn / scale)
-    return worst
-
-
-def energy_at_endpoints(traj: Trajectory) -> np.ndarray:
-    """a_h(u,u) + density norm of (v,w) squared + s0 |p|^2 at each t_n."""
-    disc = traj.disc
-    prm = disc.params
-    a = disc.elasticity
-    m = disc.mass_bdm
-    mp = disc.mass_p
-    out = []
-    for n in range(traj.grid.num_slabs + 1):
-        st = traj.state_at_endpoint(n)
-        e = (float(st.u @ (a @ st.u))
-             + prm.rho_bar * float(st.v @ (m @ st.v))
-             + 2.0 * prm.rho_f * float(st.v @ (m @ st.w))
-             + prm.rho_w * float(st.w @ (m @ st.w))
-             + prm.s0 * float(st.p @ (mp @ st.p)))
-        out.append(e)
-    return np.asarray(out)
 
 
 # --- projection operators -------------------------------------------------------

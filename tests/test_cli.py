@@ -3,8 +3,8 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biotcgp.cli import (_PARAM_KEYS, _RUN_KEYS, ConfigError, RunConfig, main,
-                         parse_config, render_config, run)
+from biotcgp.cli import (_ALIASES, _PARAM_KEYS, _RUN_KEYS, ConfigError, RunConfig,
+                         main, parse_config, run)
 
 FLOAT_KEYS = ([("run", key) for key, kind in _RUN_KEYS.items() if kind is float]
               + [("params", key) for key, kind in _PARAM_KEYS.items() if kind is float])
@@ -29,9 +29,26 @@ def test_unknown_key_named():
         parse_config("rho_s = 1.0\n")     # params key in the run section
 
 
+def _render(cfg):
+    """Config text that sets every key to its value in ``cfg``."""
+    lines = ["[run]"]
+    lines += [f"{key} = {getattr(cfg, _ALIASES.get(key, key))}" for key in _RUN_KEYS]
+    lines.append("[params]")
+    for key in _PARAM_KEYS:
+        value = getattr(cfg, _ALIASES.get(key, key))
+        lines.append(f"{key} = {'' if value is None else value}")
+    return "\n".join(lines) + "\n"
+
+
+def test_mms_key_rejected():
+    # run() never read an mms key: setting one is an error, not a silent no-op
+    with pytest.raises(ConfigError, match="unknown key 'mms'"):
+        parse_config("mms = discrete\n")
+
+
 def test_round_trip_default():
     cfg = parse_config("")
-    assert parse_config(render_config(cfg)) == cfg
+    assert parse_config(_render(cfg)) == cfg
 
 
 @settings(max_examples=25, deadline=None)
@@ -40,7 +57,7 @@ def test_round_trip_default():
 def test_round_trip_random_valid(k, ell, levels, omega, s0):
     cfg = RunConfig(k=k, ell=ell, levels=levels, omega=omega, s0=s0)
     cfg.validate()
-    assert parse_config(render_config(cfg)) == cfg
+    assert parse_config(_render(cfg)) == cfg
 
 
 def test_comments_and_sections():
@@ -61,6 +78,9 @@ def test_bad_values_rejected():
         RunConfig(levels=1).validate()
     with pytest.raises(ConfigError, match="ell"):
         RunConfig(ell=3).validate()
+    for k in (0, 7):
+        with pytest.raises(ConfigError, match=r"k must lie in 1\.\.6"):
+            RunConfig(k=k).validate()
     with pytest.raises(ConfigError, match="parse"):
         parse_config("k = two\n")
 
@@ -157,6 +177,9 @@ def test_cli_error_paths(tmp_path):
     bad.write_text("[params]\nalpha = 9\n")
     assert main(["--config", str(bad)]) == 2
     assert main(["--config", str(tmp_path / "missing.txt")]) == 2
+    # above time_basis.MAX_ORDER the gauss rules do not exist
+    assert main(["--mode", "time-study", "--k", "7", "--levels", "2",
+                 "--out", str(tmp_path)]) == 2
 
 
 def test_bad_env_seed_is_a_config_error(tmp_path, monkeypatch, capsys):

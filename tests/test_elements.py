@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from biotcgp import elements as el
 from biotcgp.mesh import _connect
-from biotcgp.spaces import build_space
+from biotcgp.spaces import build_space, interpolate_vector_field
 
 
 # --- quadrature on the reference triangle --------------------------------------
@@ -50,16 +50,6 @@ def test_dgp_constant_mode_is_one():
     assert np.allclose(elem.tabulate(pts)[:, 0], 1.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-def test_bdm_duality_identity(degree):
-    elem = el.reference_element("BDM", degree)
-    duality = np.empty((elem.dim, elem.dim))
-    for i in range(elem.dim):
-        duality[:, i] = elem.apply_dofs_bdm(
-            lambda pts, i=i: elem.tabulate(pts)[:, i, :])
-    assert np.abs(duality - np.eye(elem.dim)).max() <= 1e-12
-
-
 @pytest.mark.parametrize("degree", [0, 1])
 def test_dgp_duality_identity(degree):
     # DOFs are the scaled L2 moments matching the modal basis
@@ -68,29 +58,6 @@ def test_dgp_duality_identity(degree):
     vals = elem.tabulate(qp)
     duality = 2.0 * np.einsum("q,qi,qj->ij", qw, vals, vals)
     assert np.abs(duality - np.eye(elem.dim)).max() <= 1e-12
-
-
-def test_bdm1_divergence_constant_per_cell():
-    elem = el.reference_element("BDM", 1)
-    pts = np.array([[0.2, 0.2], [0.5, 0.25], [0.15, 0.6]])
-    divs = elem.tabulate_div(pts)
-    spread = np.abs(divs - divs[0]).max()
-    assert spread <= 1e-12
-
-
-@pytest.mark.parametrize("degree", [1, 2])
-def test_bdm_div_lies_in_lower_space(degree):
-    # L2-project div(basis) onto P_{degree-1} and check zero residual
-    elem = el.reference_element("BDM", degree)
-    scalar = el.reference_element("DGP", degree - 1)
-    qp, qw = el.triangle_rule(2 * degree + 2)
-    divs = elem.tabulate_div(qp)                    # (nq, nd)
-    modal = scalar.tabulate(qp)                     # (nq, np)
-    coeffs = 2.0 * np.einsum("q,qi,qm->mi", qw, divs, modal)
-    recon = np.einsum("qm,mi->qi", modal, coeffs)
-    num = np.sqrt(np.einsum("q,qi,qi->", qw, divs - recon, divs - recon))
-    den = max(np.sqrt(np.einsum("q,qi,qi->", qw, divs, divs)), 1.0)
-    assert num / den <= 1e-12
 
 
 def test_unsupported_degrees():
@@ -102,11 +69,51 @@ def test_unsupported_degrees():
         el.reference_element("RT", 1)
 
 
-# --- Piola map (FunctionSpace._piola on one-cell meshes) ----------------------------
+# --- the BDM basis of one cell (FunctionSpace.dof_transform) -------------------------
 
-def _one_cell_space(vertices):
+# B = [[0.9, 0.1], [0.3, 0.8]] is not symmetric, so B^-1 and B^-T differ
+SKEW_CELL = [[0.2, 0.1], [1.1, 0.4], [0.3, 0.9]]
+
+
+def _one_cell_space(vertices, degree=2):
     mesh = _connect(np.asarray(vertices, dtype=float), np.array([[0, 1, 2]]))
-    return build_space(mesh, "BDM", 2)
+    return build_space(mesh, "BDM", degree)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_bdm_duality_identity(degree):
+    # the global DOF functionals, applied by the canonical interpolant, are
+    # dual to the cell basis (local DOF i is global DOF cell_dofs[0, i])
+    space = _one_cell_space(SKEW_CELL, degree)
+    nd = space.element.dim
+    duality = np.column_stack([
+        interpolate_vector_field(space, lambda x, i=i: space.tabulate_at([0], x[None])[0, :, i])
+        for i in range(nd)])
+    assert np.abs(duality[space.cell_dofs[0]] - np.eye(nd)).max() <= 1e-12
+
+
+def test_bdm1_divergence_constant_per_cell():
+    divs = _one_cell_space(SKEW_CELL, 1).volume.divs[0]     # (nq, nd)
+    assert np.abs(divs - divs[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_bdm_div_lies_in_lower_space(degree):
+    # L2-project each basis divergence onto P_{degree-1} and check zero residual
+    space = _one_cell_space(SKEW_CELL, degree)
+    scalar = build_space(space.mesh, "DGP", degree - 1, quad_degree=space.quad_degree)
+    qw = space.volume.weights[0]
+    divs = space.volume.divs[0]                     # (nq, nd)
+    modal = scalar.volume.values[0]                 # (nq, np)
+    # the physical modal mass matrix is diag(cell area)
+    coeffs = np.einsum("q,qi,qm->mi", qw, divs, modal) / space.mesh.areas[0]
+    recon = np.einsum("qm,mi->qi", modal, coeffs)
+    num = np.sqrt(np.einsum("q,qi,qi->", qw, divs - recon, divs - recon))
+    den = max(np.sqrt(np.einsum("q,qi,qi->", qw, divs, divs)), 1.0)
+    assert num / den <= 1e-12
+
+
+# --- Piola map (FunctionSpace._piola on one-cell meshes) ----------------------------
 
 
 def _pushed_forward(space, field, ref_points):
@@ -159,8 +166,7 @@ def test_piola_rejects_flipped_cells():
 
 
 def test_piola_gradient_chain_rule(rng):
-    # B = [[0.9, 0.1], [0.3, 0.8]] is not symmetric, so B^-1 and B^-T differ
-    space = _one_cell_space([[0.2, 0.1], [1.1, 0.4], [0.3, 0.9]])
+    space = _one_cell_space(SKEW_CELL)
     # reference linear field: gradient is constant and known
     g_ref = rng.standard_normal((2, 2))
     _, _, grads = _pushed_forward(space, lambda xi: xi @ g_ref.T,

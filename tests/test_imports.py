@@ -1,10 +1,13 @@
 """Every import in src/ and tests/ is used: a name bound by an import must be
-read somewhere in its module or listed in its ``__all__``."""
+read somewhere in its module or listed in its ``__all__``.  Every definition
+in src/ is reached: see ``test_no_dead_definitions``."""
 
 import ast
 import pathlib
 
 import pytest
+
+import biotcgp
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
@@ -31,3 +34,51 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+# src/ definitions that only tests read, each with the reason it is kept; an
+# entry that gains a reader in src/ or goes away fails the scan too
+TEST_REFERENCES = {
+    "sample_error_norms": "the per-sample reference of "
+                          "test_trajectory_errors_matches_per_sample_loop",
+    "grad_P": "the pressure gradient in the PDE-residual check of tests/test_mms.py",
+}
+SRC_FILES = sorted((ROOT / "src" / "biotcgp").glob("*.py"))
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) of every top-level function and class and every method
+    that is not a dunder (those are called by the language)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item.name, item
+
+
+def _unreached_definitions() -> dict[str, str]:
+    """Definitions no other code in src/ reads and biotcgp does not export,
+    mapped to their location."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SRC_FILES}
+    # every read of a name or attribute; __all__ entries are strings, not reads
+    reads = [(path, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+             for path, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    unreached = {}
+    for path, tree in trees.items():
+        for name, node in _definitions(tree):
+            if name not in biotcgp.__all__ and not any(
+                    read == name and not (where == path
+                                          and node.lineno <= line <= node.end_lineno)
+                    for where, read, line in reads):
+                unreached[name] = f"{path.name}:{node.lineno}"
+    return unreached
+
+
+def test_no_dead_definitions():
+    # a method counts as reached when any attribute of its name is read, so
+    # the scan can miss a dead method that shares its name with a live one
+    unreached = _unreached_definitions()
+    assert sorted(unreached) == sorted(TEST_REFERENCES), unreached

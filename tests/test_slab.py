@@ -6,7 +6,7 @@ from biotcgp import spaces as sps
 from biotcgp.mesh import structured_mesh
 from biotcgp.slab import (Discretization, SlabOperators, SlabState, SourceSet,
                           TimeGrid, march, project_initial_data)
-from biotcgp.time_basis import composite_simpson, lagrange_basis
+from biotcgp.time_basis import MAX_ORDER, composite_simpson, gauss_rule, lagrange_basis
 
 
 @pytest.fixture(scope="module")
@@ -96,13 +96,22 @@ def test_time_coupling_weights_against_oracle(disc1, k):
             assert abs(ops.theta_src[m, i] - src) <= 1e-13
 
 
+@pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+def test_mass_weights_are_the_gauss_weights(disc1, k):
+    # the G0 basis is nodal at the Gauss nodes, so the left-end column
+    # vanishes and the stage block is diag(gauss weights), both exactly
+    theta_mass = SlabOperators(disc1, k, 0.25).theta_mass
+    assert np.array_equal(theta_mass[:, 0], np.zeros(k))
+    assert np.array_equal(theta_mass[:, 1:], np.diag(gauss_rule(k).weights))
+
+
 def test_build_and_solve_single_slab(disc4, params):
     case = mms.discrete_case(disc4, 1, temporal="poly")
     grid = TimeGrid(0.5, 1)
     ops = SlabOperators(disc4, 1, grid.tau)
     rhs = ops.rhs(case.initial_state(), grid.endpoints[0], case.sources())
     nodes = ops.split_nodes(ops.solve(rhs))
-    exact = case.exact_state(grid.tau * ops.g_nodes[0])
+    exact = case.exact_state(grid.tau * gauss_rule(1).nodes[0])
     for f in ("u", "v", "w", "p"):
         assert np.abs(getattr(nodes[0], f) - getattr(exact, f)).max() <= 1e-9
 
@@ -200,8 +209,7 @@ def test_eval_linear_in_coefficients(disc4):
     for f in ("u", "p"):
         doubled = {k: v.copy() for k, v in traj.coeffs.items()}
         doubled[f] = 2.0 * doubled[f]
-        traj2 = type(traj)(traj.grid, traj.k, traj.disc, doubled, traj.g0_nodes,
-                           traj.end_weights)
+        traj2 = type(traj)(traj.grid, traj.k, traj.disc, doubled, traj.end_weights)
         assert np.allclose(traj2.eval(f, t), 2.0 * traj.eval(f, t), atol=1e-13)
 
 
