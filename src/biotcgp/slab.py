@@ -3,11 +3,18 @@
 Per slab the trial functions are degree-k polynomials pinned to the incoming
 state at the left end (nodal G0 basis: left end + k Gauss nodes); tests are
 degree k-1 (Gauss-node Lagrange basis).  Eliminating the known left-end block
-leaves k coupled spatial systems; the slab matrix is identical for every slab
-of an equidistant grid, so it is factorized once and reused while marching.
-Because the temporal product integrals are evaluated exactly by the k-point
-Gauss rule, the scheme is equivalent to collocation at the Gauss points, which
-is what yields pointwise mass conservation there.
+leaves k coupled spatial systems.  Because the temporal product integrals are
+evaluated exactly by the k-point Gauss rule, the scheme is equivalent to
+collocation at the Gauss points, which is what yields pointwise mass
+conservation there.
+
+The same equivalence gives the coupled matrix the Kronecker form
+(W ⊗ I)(D ⊗ T + tau I ⊗ S), with W the Gauss weights, so diagonalizing the
+k×k matrix D splits it into ceil(k/2) independent spatial systems
+lam T + tau S (Butcher 1976), one per real eigenvalue or conjugate pair.
+Those are factorized once per slab length and reused while marching; the
+bordered solve refines against the coupled matrix, which absorbs the
+conditioning of the eigenvector transform.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly as asm
-from .linalg import LinearSystem, factor_system, lu_solve
+from .linalg import LinearSystem, factor_system, lu_factor, lu_solve
 from .mesh import Mesh, write_vtk_edges, write_vtk_mesh
 from .spaces import (FunctionSpace, build_space, interpolate_vector_field,
                      project_scalar_field, remove_mean)
@@ -157,6 +164,36 @@ class Discretization:
         return load - (total / area) * self.p_volume
 
 
+class GaussStages:
+    """Inverse of the coupled stage matrix A ⊗ T + tau B ⊗ S.
+
+    For cGP(k), B = W is diagonal (the Gauss weights) and A = W D.  With
+    D = B^-1 A = V diag(lam) V^-1 and x = (V ⊗ I) y, the system splits into
+    (lam_j T + tau S) y_j = ((B V)^-1 ⊗ I) b.  D is real, so only the
+    eigenvalues with Im lam >= 0 are factorized: a real one gives a real LU,
+    and the stage of a conjugate partner is the conjugate of the solved one,
+    so the pair enters x as twice the real part.  Holds no reference to the
+    slab operators that own its factor.
+    """
+
+    def __init__(self, dt_weights: np.ndarray, mass_weights: np.ndarray,
+                 t_block: sp.spmatrix, s_block: sp.spmatrix, tau: float):
+        lam, vecs = np.linalg.eig(np.linalg.solve(mass_weights, dt_weights))
+        lam, vecs = lam.astype(complex), vecs.astype(complex)
+        keep = np.flatnonzero(lam.imag >= 0.0)
+        self.real = lam.imag[keep] == 0.0
+        self.to_stage = np.linalg.inv(mass_weights @ vecs)[keep]
+        self.from_stage = vecs[:, keep] * np.where(self.real, 1.0, 2.0)
+        self.lus = [lu_factor((lam[j].real if real else lam[j]) * t_block + tau * s_block)
+                    for j, real in zip(keep, self.real)]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        stages = self.to_stage @ rhs.reshape(self.from_stage.shape[0], -1)
+        y = np.array([lu.solve(c.real if real else c)
+                      for lu, c, real in zip(self.lus, stages, self.real)])
+        return (self.from_stage @ y).real.ravel()
+
+
 class SlabOperators:
     """Per-slab block system for fixed k and slab length tau."""
 
@@ -250,7 +287,9 @@ class SlabOperators:
         system = LinearSystem(self.inner_matrix, rhs[:n],
                               constraints=(self.constraint_rows, rhs[n:]))
         if self._factor is None:
-            self._factor = factor_system(system)
+            self._factor = factor_system(system, lambda _: GaussStages(
+                self.theta_dt[:, 1:], self.theta_mass[:, 1:], self.time_derivative_block,
+                self.stationary_block, self.tau))
         return lu_solve(system, self._factor)
 
     def split_nodes(self, solution: np.ndarray) -> list[SlabState]:

@@ -109,6 +109,15 @@ def test_time_study_outputs(tmp_path):
     assert status == 0
 
 
+def test_time_study_refined_to_round_off_passes(tmp_path):
+    # the finest level's endpoint error is about 1e-10, where unrefined slab
+    # solves flattened the last EOC to 2.79 against the 2.80 bound
+    cfg = RunConfig(mode="time-study", out_dir=str(tmp_path), k=2, ell=1,
+                    base_mesh=8, base_slabs=32, levels=4)
+    assert run(cfg) == 0
+    assert "OVERALL PASS" in open(tmp_path / "summary.txt").read()
+
+
 def test_space_study_csv_shape(tmp_path):
     cfg = RunConfig(mode="space-study", out_dir=str(tmp_path), levels=4,
                     base_mesh=2, base_slabs=2, k=1, omega=2.0)

@@ -4,6 +4,8 @@ name; these checks keep that contract with the program."""
 import sys
 from pathlib import Path
 
+import pytest
+
 from biotcgp import mms, verification as ver
 from biotcgp.mesh import structured_mesh
 from biotcgp.slab import Discretization, TimeGrid, march
@@ -46,9 +48,12 @@ def test_tracer_counts_one_error_evaluation_per_slab(monkeypatch, params):
     assert errs == ver.trajectory_errors(traj, case)
 
 
-def test_tracer_reads_every_slab_residual(monkeypatch, params):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tracer_reads_every_slab_residual(monkeypatch, params, k):
     # the benchmark's residual check reads slab.residual_max: a solve path that
-    # skipped LinearSystem.residual would leave it at 0 and pass unnoticed
+    # skipped LinearSystem.residual would leave it at 0 and pass unnoticed.
+    # The refinement step stays inside one wrapped solve per slab, and the
+    # stage LUs, one per real eigenvalue or conjugate pair, count as factors
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from spans import Tracer
 
@@ -56,9 +61,9 @@ def test_tracer_reads_every_slab_residual(monkeypatch, params):
     case = mms.default_mms(params)
     grid = TimeGrid(0.5, 3)
     tracer = Tracer()
-    tracer.call("root", march, disc, 2, grid, case.initial_state(disc), case.sources())
+    tracer.call("root", march, disc, k, grid, case.initial_state(disc), case.sources())
 
     metrics = tracer.metrics()
     assert metrics["slab.solves"] == metrics["linalg.solves"] == grid.num_slabs
-    assert metrics["linalg.factors"] == 1
+    assert metrics["linalg.factors"] == (k + 1) // 2
     assert 0.0 < metrics["slab.residual_max"] <= 1e-10

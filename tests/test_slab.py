@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from biotcgp import mms
+from biotcgp import slab
 from biotcgp import spaces as sps
+from biotcgp.assembly import PhysicalParams
 from biotcgp.mesh import structured_mesh
 from biotcgp.slab import (Discretization, SlabOperators, SlabState, SourceSet,
                           TimeGrid, march, project_initial_data)
 from biotcgp.time_basis import MAX_ORDER, composite_simpson, gauss_rule, lagrange_basis
+from biotcgp.verification import mass_conservation_audit
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +119,77 @@ def test_build_and_solve_single_slab(disc4, params):
     exact = case.exact_state(grid.tau * gauss_rule(1).nodes[0])
     for f in ("u", "v", "w", "p"):
         assert np.abs(getattr(nodes[0], f) - getattr(exact, f)).max() <= 1e-9
+
+
+# --- decoupled stage solves -----------------------------------------------------------
+
+def _counting_lu(monkeypatch):
+    calls = []
+    original = slab.lu_factor
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+    monkeypatch.setattr(slab, "lu_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+def test_stage_solve_matches_coupled_direct_solve(params, rng, monkeypatch, k, ell):
+    disc = Discretization(structured_mesh(3, 3), ell, params)
+    ops = SlabOperators(disc, k, 0.1)
+    calls = _counting_lu(monkeypatch)
+    n = ops.inner_matrix.shape[0]
+    bordered = sp.bmat([[ops.inner_matrix, ops.constraint_rows.T],
+                        [ops.constraint_rows, None]], format="csc")
+    for _ in range(2):
+        rhs = rng.standard_normal(n + k)
+        got = ops.solve(rhs)
+        want = spla.spsolve(bordered, rhs)
+        assert got.dtype == np.float64
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    # one LU per real eigenvalue or conjugate pair of the stage matrix, each
+    # of one spatial block, built once for all solves
+    assert calls == [(ops.block_size, ops.block_size)] * ((k + 1) // 2)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_high_order_stiff_audit(k):
+    params = PhysicalParams(lam=1e4)
+    disc = Discretization(structured_mesh(4, 4), 1, params)
+    case = mms.default_mms(params)
+    sources = case.sources()
+    traj = march(disc, k, TimeGrid(0.5, 4), case.initial_state(disc), sources)
+    assert mass_conservation_audit(traj, sources) <= 1e-9
+
+
+def test_stiff_slab_residual_per_field_block(monkeypatch):
+    # the lambda-scaled u rows dominate ||b||, so a passing global residual
+    # says little about the v, w and p rows; check each field block alone
+    params = PhysicalParams(lam=1e6)
+    disc = Discretization(structured_mesh(8, 8), 0, params)
+    case = mms.default_mms(params)
+    solved = []
+    solve = SlabOperators.solve
+
+    def recording(ops, rhs):
+        x = solve(ops, rhs)
+        solved.append((ops, rhs, x))
+        return x
+    monkeypatch.setattr(SlabOperators, "solve", recording)
+    march(disc, 2, TimeGrid(0.5, 8), case.initial_state(disc), case.sources())
+
+    assert len(solved) == 8
+    for ops, rhs, x in solved:
+        n = ops.inner_matrix.shape[0]
+        residual = (ops.inner_matrix @ x[:n] + ops.constraint_rows.T @ x[n:] - rhs[:n])
+        rows = np.arange(n) % ops.block_size
+        nb = ops.n_bdm
+        for block in (rows < nb, (nb <= rows) & (rows < 2 * nb),
+                      (2 * nb <= rows) & (rows < 3 * nb), rows >= 3 * nb):
+            assert (np.linalg.norm(residual[block])
+                    <= 1e-10 * np.linalg.norm(rhs[:n][block]))
 
 
 # --- cGP exactness and marching -----------------------------------------------------
