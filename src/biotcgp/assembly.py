@@ -87,24 +87,21 @@ class FieldSource:
 
     A profile is a function of points (..., 2), or the coefficient vector of a
     field in the target space (exact for the slab systems, which integrate
-    against that space).  Profile values at the volume quadrature points of
-    the target space are computed once; each time only rescales them.
+    against that space).  Each profile's load vector against the target space
+    is integrated once; each time only rescales and sums them.
     """
 
     def __init__(self, terms):
         self.terms = list(terms)
         self._space = None
-        self._values: list[np.ndarray] = []
+        self._loads: list[np.ndarray] = []
 
-    def volume_values(self, space: FunctionSpace, t: float) -> np.ndarray:
+    def term_loads(self, space: FunctionSpace) -> list[np.ndarray]:
         if space is not self._space:
-            self._values = [_profile_values(space, profile) for _, profile in self.terms]
+            self._loads = [_integrate(space, _profile_values(space, profile))
+                           for _, profile in self.terms]
             self._space = space
-        out = None
-        for (factor, _), values in zip(self.terms, self._values):
-            contrib = float(factor(t)) * values
-            out = contrib if out is None else out + contrib
-        return out
+        return self._loads
 
 
 # --- matrix assembly -----------------------------------------------------------
@@ -271,14 +268,22 @@ def assemble_elasticity_rhs(space: FunctionSpace, value_fn, grad_fn, mu: float,
     return rhs
 
 
-def assemble_load(space: FunctionSpace, source, t: float) -> np.ndarray:
-    """Right-hand side vector of a (possibly time-sliced) source field."""
+def _integrate(space: FunctionSpace, values: np.ndarray) -> np.ndarray:
+    """Load vector of a field given by its values at the volume quadrature points."""
     tab = space.volume
-    values = source.volume_values(space, t)
     if space.family == "DGP":
         local = np.einsum("cq,cq,cqi->ci", tab.weights, values, tab.values)
     else:
         local = np.einsum("cq,cqa,cqia->ci", tab.weights, values, tab.values)
     rhs = np.zeros(space.ndofs)
     np.add.at(rhs, space.cell_dofs, local)
+    return rhs
+
+
+def assemble_load(space: FunctionSpace, source: FieldSource, t: float) -> np.ndarray:
+    """Right-hand side vector of a source at time t: the sum of each term's
+    cached load vector times its time factor."""
+    rhs = np.zeros(space.ndofs)
+    for (factor, _), load in zip(source.terms, source.term_loads(space)):
+        rhs += float(factor(t)) * load
     return rhs

@@ -231,6 +231,18 @@ def test_load_linearity(a, b):
     assert np.allclose(lc, a * l1 + b * l2, atol=1e-12)
 
 
+def test_source_load_follows_time_and_space(mesh2):
+    # the per-term loads are cached against one space; switching spaces and
+    # back must give the loads of a fresh source at every time
+    spaces = [sps.build_space(mesh2, "BDM", degree) for degree in (1, 2, 1)]
+    profile = lambda x: np.stack([x[..., 0] * x[..., 1], np.cos(x[..., 0])], axis=-1)
+    src = asm.FieldSource([(np.exp, profile), (lambda t: 1.0, profile)])
+    for space, t in zip(spaces, (0.3, 0.5, 0.7)):
+        fresh = asm.assemble_load(space, asm.FieldSource([(lambda t: 1.0, profile)]), t)
+        assert np.allclose(asm.assemble_load(space, src, t), (np.exp(t) + 1.0) * fresh,
+                           rtol=1e-14, atol=1e-14)
+
+
 # --- structural invariants ---------------------------------------------------------------------
 
 def test_renumbering_invariance(mesh2, rng):

@@ -54,6 +54,14 @@ def test_singular_matrix_reports_row():
     assert err.value.row == 1
 
 
+def test_zero_diagonal_takes_off_diagonal_pivot():
+    # structurally symmetric with an exactly zero diagonal: the static
+    # diagonal pivots must give way where the diagonal entry is zero
+    a = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 3.0]]))
+    x = lu_solve(LinearSystem(a, np.array([1.0, 2.0, 3.0])))
+    assert np.allclose(x, [4.0 / 3.0, 1.0, 1.0 / 3.0], rtol=0.0, atol=1e-14)
+
+
 def test_dimension_mismatch():
     with pytest.raises(SolverError):
         lu_solve(LinearSystem(sp.eye(3, format="csr"), np.ones(4)))

@@ -123,14 +123,15 @@ def test_build_and_solve_single_slab(disc4, params):
 
 # --- decoupled stage solves -----------------------------------------------------------
 
-def _counting_lu(monkeypatch):
+def _recording_lu(monkeypatch):
     calls = []
     original = slab.lu_factor
 
-    def counted(matrix):
-        calls.append(matrix.shape)
-        return original(matrix)
-    monkeypatch.setattr(slab, "lu_factor", counted)
+    def recorded(matrix):
+        lu = original(matrix)
+        calls.append((matrix, lu))
+        return lu
+    monkeypatch.setattr(slab, "lu_factor", recorded)
     return calls
 
 
@@ -139,7 +140,7 @@ def _counting_lu(monkeypatch):
 def test_stage_solve_matches_coupled_direct_solve(params, rng, monkeypatch, k, ell):
     disc = Discretization(structured_mesh(3, 3), ell, params)
     ops = SlabOperators(disc, k, 0.1)
-    calls = _counting_lu(monkeypatch)
+    calls = _recording_lu(monkeypatch)
     n = ops.inner_matrix.shape[0]
     bordered = sp.bmat([[ops.inner_matrix, ops.constraint_rows.T],
                         [ops.constraint_rows, None]], format="csc")
@@ -151,7 +152,22 @@ def test_stage_solve_matches_coupled_direct_solve(params, rng, monkeypatch, k, e
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     # one LU per real eigenvalue or conjugate pair of the stage matrix, each
     # of one spatial block, built once for all solves
-    assert calls == [(ops.block_size, ops.block_size)] * ((k + 1) // 2)
+    assert ([matrix.shape for matrix, _ in calls]
+            == [(ops.block_size, ops.block_size)] * ((k + 1) // 2))
+
+
+def test_stage_lus_keep_diagonal_pivots_and_low_fill(params, rng, monkeypatch):
+    # the stage matrices are structurally symmetric with a nonzero diagonal:
+    # the symmetric ordering must survive pivoting and beat SuperLU's defaults
+    disc = Discretization(structured_mesh(8, 8), 0, params)
+    ops = SlabOperators(disc, 2, 1.0 / 16.0)
+    calls = _recording_lu(monkeypatch)
+    ops.solve(rng.standard_normal(ops.inner_matrix.shape[0] + ops.k))
+    assert calls
+    for matrix, lu in calls:
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        default = spla.splu(sp.csc_matrix(matrix))
+        assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
@@ -164,12 +180,28 @@ def test_high_order_stiff_audit(k):
     assert mass_conservation_audit(traj, sources) <= 1e-9
 
 
-def test_stiff_slab_residual_per_field_block(monkeypatch):
+@pytest.mark.parametrize("lam, s0, kappa, rho_f, cells, ell, k, slabs", [
+    pytest.param(1e6, 1.0, 1.0, 1.0, 8, 0, 2, 8, id="lam1e6"),
+    pytest.param(1e6, 1e-8, 1e-6, 1.0, 8, 0, 2, 8, id="lam1e6-s0_1e-8-kappa1e-6"),
+    pytest.param(1e6, 1e-8, 1e-6, 0.0, 8, 0, 2, 8, id="lam1e6-s0_1e-8-kappa1e-6-rhof0"),
+    pytest.param(1.0, 1e-10, 1.0, 1.0, 8, 0, 2, 8, id="s0_1e-10"),
+    pytest.param(1.0, 1e-14, 1.0, 1.0, 8, 0, 2, 8, id="s0_1e-14"),
+    pytest.param(1.0, 1e-12, 1.0, 1.0, 4, 1, 6, 4, id="s0_1e-12-k6-ell1"),
+    pytest.param(1e6, 1e-8, 1e-6, 1.0, 4, 1, 6, 4, id="lam1e6-s0_1e-8-kappa1e-6-k6-ell1"),
+    pytest.param(1e6, 1e-8, 1e-6, 0.0, 4, 1, 6, 4,
+                 id="lam1e6-s0_1e-8-kappa1e-6-rhof0-k6-ell1"),
+])
+def test_stiff_slab_residual_per_field_block(monkeypatch, lam, s0, kappa, rho_f, cells,
+                                             ell, k, slabs):
     # the lambda-scaled u rows dominate ||b||, so a passing global residual
-    # says little about the v, w and p rows; check each field block alone
-    params = PhysicalParams(lam=1e6)
-    disc = Discretization(structured_mesh(8, 8), 0, params)
+    # says little about the v, w and p rows; check each field block alone.
+    # Small s0 and kappa shrink the diagonal of the p and w rows that the
+    # static pivots of the stage LUs rely on; from s0 = 1e-10 down one
+    # refinement step can miss the contract, and more are taken.
+    params = PhysicalParams(lam=lam, s0=s0, kappa=kappa * np.eye(2), rho_f=rho_f)
+    disc = Discretization(structured_mesh(cells, cells), ell, params)
     case = mms.default_mms(params)
+    sources = case.sources()
     solved = []
     solve = SlabOperators.solve
 
@@ -178,9 +210,9 @@ def test_stiff_slab_residual_per_field_block(monkeypatch):
         solved.append((ops, rhs, x))
         return x
     monkeypatch.setattr(SlabOperators, "solve", recording)
-    march(disc, 2, TimeGrid(0.5, 8), case.initial_state(disc), case.sources())
+    traj = march(disc, k, TimeGrid(0.5, slabs), case.initial_state(disc), sources)
 
-    assert len(solved) == 8
+    assert len(solved) == slabs
     for ops, rhs, x in solved:
         n = ops.inner_matrix.shape[0]
         residual = (ops.inner_matrix @ x[:n] + ops.constraint_rows.T @ x[n:] - rhs[:n])
@@ -190,6 +222,7 @@ def test_stiff_slab_residual_per_field_block(monkeypatch):
                       (2 * nb <= rows) & (rows < 3 * nb), rows >= 3 * nb):
             assert (np.linalg.norm(residual[block])
                     <= 1e-10 * np.linalg.norm(rhs[:n][block]))
+    assert mass_conservation_audit(traj, sources) <= 1e-9
 
 
 # --- cGP exactness and marching -----------------------------------------------------
