@@ -6,11 +6,14 @@ with static diagonal pivots (threshold 0, so an off-diagonal pivot is taken
 only where the diagonal entry is exactly zero).  The finite element matrices
 factored here are structurally symmetric with a nonzero diagonal, so the
 ordering keeps its fill; threshold pivoting would break the symmetric
-ordering and multiply the fill.  Static pivoting paired with iterative
-refinement is the scheme of Li & Demmel (SC'98, "Making sparse Gaussian
-elimination scalable by static pivoting"): where a pivot is tiny, as the
-pressure pivot lam*s0*M_p is for small storage coefficients s0, the factor
-is poor and the refinement below takes more steps.
+ordering and multiply the fill.  Static pivoting is the scheme of Li &
+Demmel (SC'98, "Making sparse Gaussian elimination scalable by static
+pivoting"), and so is its guard: a diagonal entry that is tiny against its
+column, as the pressure entry lam*s0*M_p is for small storage coefficients
+s0, would be eliminated ahead of its neighbours and blow the factors up, so
+it is raised to sqrt(eps) of the update those neighbours would bring before
+factoring.  The factor is then that of a matrix within sqrt(eps) of the
+true one, and the refinement below recovers full accuracy in a second step.
 
 Equality-constraint rows are not folded into the sparse matrix: dense
 multiplier rows poison the ordering, so they are eliminated through a small
@@ -22,7 +25,8 @@ itself, x += F(b - Kx), which gives componentwise backward stability for
 Gaussian elimination in working precision (Skeel 1980) and absorbs the
 rounding of an ill-conditioned inner transform.  It takes further steps, up
 to MAX_REFINEMENT_STEPS, while the residual it refined from exceeded the
-residual contract.  Every solve enforces that contract, so callers can rely
+residual contract, and stops as soon as a step fails to shrink the residual.
+Every solve enforces that contract, so callers can rely
 on the solution quality.
 """
 
@@ -40,6 +44,7 @@ __all__ = ["SolverError", "LinearSystem", "lu_factor", "factor_system", "lu_solv
 RESIDUAL_TOL = 1e-10
 ZERO_RHS_TOL = 1e-12
 MAX_REFINEMENT_STEPS = 10
+SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 class SolverError(RuntimeError):
@@ -104,15 +109,38 @@ def _structural_zero_row(a: sp.spmatrix) -> int:
     return int(empty[0]) if empty.size else -1
 
 
+def _floor_tiny_pivots(csc: sp.csc_matrix) -> sp.csc_matrix:
+    """Raise each nonzero diagonal entry below SQRT_EPS times its column's
+    largest entry to SQRT_EPS times the update its neighbours would bring,
+    sum_j |a_ij a_ji / a_jj|, keeping its phase (Li & Demmel's tiny-pivot
+    replacement with a local scale)."""
+    d = csc.diagonal()
+    size = np.abs(d)
+    colmax = np.zeros_like(size)
+    filled = np.diff(csc.indptr) > 0
+    colmax[filled] = np.maximum.reduceat(np.abs(csc.data), csc.indptr[:-1][filled])
+    tiny = (size > 0.0) & (size < SQRT_EPS * colmax)
+    if not tiny.any():
+        return csc
+    # only non-tiny neighbours count, so a tiny entry's own term drops out
+    inv = np.divide(1.0, size, out=np.zeros_like(size), where=(size > 0.0) & ~tiny)
+    floor = SQRT_EPS * (abs(csc.multiply(csc.T)) @ inv)
+    d[tiny] *= np.maximum(floor[tiny], size[tiny]) / size[tiny]
+    raised = csc.copy()
+    raised.setdiag(d)
+    return raised
+
+
 def lu_factor(matrix: sp.spmatrix) -> spla.SuperLU:
     """Factorize once for reuse across many right-hand sides.
 
     SuperLU symmetric mode: MMD ordering of A^T + A and static diagonal
-    pivots (Li & Demmel 1998).  No partial pivoting guards the growth of the
-    factors; the refinement of ``BorderedFactor.solve`` and the residual
-    contract of ``lu_solve`` do.
+    pivots, with tiny diagonal entries raised first (Li & Demmel 1998).  No
+    partial pivoting guards the growth of the factors; the raised pivots,
+    the refinement of ``BorderedFactor.solve`` and the residual contract of
+    ``lu_solve`` do.
     """
-    csc = sp.csc_matrix(matrix)
+    csc = _floor_tiny_pivots(sp.csc_matrix(matrix))
     try:
         return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
@@ -153,15 +181,22 @@ class BorderedFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Bordered solve refined against the bordered matrix: one step always,
         and another while the residual a step started from exceeded the
-        residual contract (a tiny static pivot leaves a poor factor)."""
+        residual contract (a raised tiny pivot leaves an inexact factor).
+        Stops with SolverError as soon as a step fails to shrink the residual."""
         rhs = np.asarray(rhs, dtype=float)
         bound = RESIDUAL_TOL * np.linalg.norm(rhs)
         x = self._eliminate(rhs)
-        for _ in range(MAX_REFINEMENT_STEPS):
+        previous = np.inf
+        for step in range(MAX_REFINEMENT_STEPS):
             r = rhs - _bordered_matvec(self.matrix, self.c, x)
+            norm = np.linalg.norm(r)
+            if not norm < previous:
+                raise SolverError(f"iterative refinement diverged at step {step}: residual "
+                                  f"{norm:.3e} after {previous:.3e}")
             x = x + self._eliminate(r)
-            if np.linalg.norm(r) <= bound:
+            if norm <= bound:
                 break
+            previous = norm
         return x
 
 

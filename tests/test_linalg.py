@@ -62,6 +62,33 @@ def test_zero_diagonal_takes_off_diagonal_pivot():
     assert np.allclose(x, [4.0 / 3.0, 1.0, 1.0 / 3.0], rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("cells", [4, 10])
+def test_tiny_pivot_is_raised_before_factoring(monkeypatch, cells):
+    # 1D mixed Darcy with storage 1e-16: the pressure unknowns have the
+    # lowest degree, so minimum degree takes their tiny diagonals as pivots
+    # first; used as they stand they wipe out the flux mass entries
+    h = 1.0 / cells
+    mass = sp.diags([h / 6.0, 2.0 * h / 3.0, h / 6.0], [-1, 0, 1], shape=(cells + 1, cells + 1))
+    div = sp.diags([-1.0, 1.0], [0, 1], shape=(cells, cells + 1))
+    a = sp.bmat([[mass, div.T], [div, 1e-16 * sp.eye(cells)]], format="csr")
+    system = LinearSystem(a, np.ones(a.shape[0]))
+    x = lu_solve(system)
+    assert np.linalg.norm(a @ x - system.rhs) <= 1e-14 * np.linalg.norm(system.rhs)
+    monkeypatch.setattr(linalg, "_floor_tiny_pivots", lambda csc: csc)
+    with pytest.raises(SolverError):
+        lu_solve(system)
+
+
+def test_refinement_stops_when_it_diverges():
+    # an inner solve three times too large doubles the error at every step:
+    # the second residual is already larger than the first
+    a = sp.csr_matrix(np.diag([1.0, 2.0, 4.0]))
+    system = LinearSystem(a, np.ones(3))
+    factor = factor_system(system, lambda matrix: linalg.lu_factor(matrix / 3.0))
+    with pytest.raises(SolverError, match="diverged at step 1"):
+        lu_solve(system, factor)
+
+
 def test_dimension_mismatch():
     with pytest.raises(SolverError):
         lu_solve(LinearSystem(sp.eye(3, format="csr"), np.ones(4)))

@@ -187,6 +187,12 @@ def test_high_order_stiff_audit(k):
     pytest.param(1.0, 1e-10, 1.0, 1.0, 8, 0, 2, 8, id="s0_1e-10"),
     pytest.param(1.0, 1e-14, 1.0, 1.0, 8, 0, 2, 8, id="s0_1e-14"),
     pytest.param(1.0, 1e-12, 1.0, 1.0, 4, 1, 6, 4, id="s0_1e-12-k6-ell1"),
+    pytest.param(1.0, 1e-15, 1.0, 1.0, 8, 0, 2, 8, id="s0_1e-15"),
+    pytest.param(1.0, 1e-16, 1.0, 1.0, 8, 0, 2, 8, id="s0_1e-16"),
+    pytest.param(1.0, 1e-16, 1.0, 1.0, 8, 1, 2, 8, id="s0_1e-16-ell1"),
+    pytest.param(1.0, 1e-16, 1.0, 1.0, 4, 1, 6, 4, id="s0_1e-16-k6-ell1"),
+    pytest.param(1e6, 1e-16, 1.0, 1.0, 4, 1, 6, 4, id="lam1e6-s0_1e-16-k6-ell1"),
+    pytest.param(1e6, 1e-16, 1e-6, 0.0, 4, 1, 6, 4, id="lam1e6-s0_1e-16-kappa1e-6-rhof0-k6-ell1"),
     pytest.param(1e6, 1e-8, 1e-6, 1.0, 4, 1, 6, 4, id="lam1e6-s0_1e-8-kappa1e-6-k6-ell1"),
     pytest.param(1e6, 1e-8, 1e-6, 0.0, 4, 1, 6, 4,
                  id="lam1e6-s0_1e-8-kappa1e-6-rhof0-k6-ell1"),
@@ -196,8 +202,9 @@ def test_stiff_slab_residual_per_field_block(monkeypatch, lam, s0, kappa, rho_f,
     # the lambda-scaled u rows dominate ||b||, so a passing global residual
     # says little about the v, w and p rows; check each field block alone.
     # Small s0 and kappa shrink the diagonal of the p and w rows that the
-    # static pivots of the stage LUs rely on; from s0 = 1e-10 down one
-    # refinement step can miss the contract, and more are taken.
+    # static pivots of the stage LUs rely on; from s0 = 1e-10 down the
+    # pressure pivots are raised before factoring and a second refinement
+    # step is taken.
     params = PhysicalParams(lam=lam, s0=s0, kappa=kappa * np.eye(2), rho_f=rho_f)
     disc = Discretization(structured_mesh(cells, cells), ell, params)
     case = mms.default_mms(params)
