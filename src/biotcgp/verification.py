@@ -45,25 +45,38 @@ def _on_points(table: np.ndarray, local: np.ndarray) -> np.ndarray:
     return out.transpose(sorted(range(len(order)), key=order.__getitem__) + [table.ndim - 1])
 
 
-def _exact_values(exact: dict | None, name: str, points: np.ndarray):
-    """Exact field ``name`` of every sample at points (..., 2): its profile,
-    evaluated once, times the per-sample factors; (..., *comp, S).  0.0 when
-    there is no exact solution or the name is absent."""
+def _exact_values(exact: dict | None, name: str, points: np.ndarray, where: str,
+                  profiles: dict):
+    """Exact field ``name`` of every sample at the ``where`` point set (..., 2):
+    its profile times the per-sample factors; (..., *comp, S).  0.0 when there
+    is no exact solution or the name is absent.
+
+    The profile values are kept in ``profiles`` under (profile, where), so a
+    profile shared by several fields, or met again on a later call with the
+    same dict, is evaluated once per point set."""
     if exact is None or name not in exact:
         return 0.0
     factors, profile = exact[name]
-    return np.asarray(profile(points))[..., None] * factors
+    key = (profile, where)
+    if key not in profiles:
+        profiles[key] = np.asarray(profile(points))[..., None]
+    return profiles[key] * factors
 
 
 def _integral(weights: np.ndarray, integrand: np.ndarray) -> np.ndarray:
     """sum_{c,q} weights[c, q] * integrand[c, q, ...] summed over the component
-    axes; integrand (n, nq, *comp, S) gives (S,)."""
-    per_point = integrand.sum(axis=tuple(range(2, integrand.ndim - 1)))
-    return np.einsum("cq,cqs->s", weights, per_point)
+    axes; integrand (n, nq, *comp, S) gives (S,).
+
+    One matmul of the flattened weights against the (n*nq, comp*S) view of the
+    integrand (a copy only if the integrand is not C-contiguous), then a sum of
+    the comp partial sums of each sample."""
+    columns = weights.reshape(-1) @ integrand.reshape(weights.size, -1)
+    return columns.reshape(-1, integrand.shape[-1]).sum(axis=0)
 
 
 def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
-                      exact: dict | None = None) -> dict[str, np.ndarray]:
+                      exact: dict | None = None, *,
+                      _profiles: dict | None = None) -> dict[str, np.ndarray]:
     """Norms of (discrete field - exact field) for a stack of S samples.
 
     ``coeffs[f]`` is (S, ndofs).  ``exact`` maps a field name (u, v, w, p,
@@ -71,6 +84,11 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
     (S,) and a profile of points (..., 2).  It is None to measure the
     discrete fields themselves (used when the error is a coefficient vector).
     An absent field counts as zero.
+
+    Each profile is evaluated once per point set (volume quadrature points,
+    boundary-edge points).  ``_profiles`` carries those values from one call
+    to the next: a caller that measures many stacks on the same ``disc``
+    passes one dict, which lives no longer than that caller's own call.
 
     Returns (S,) arrays of u_L2, u_DG, u_DG_no_h2, u_Uh, u_div, mrho_vw,
     w_Kinv, p_L2.
@@ -80,13 +98,17 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
     mesh = disc.mesh
     w = bdm.volume.weights
     pts = bdm.volume.points
+    profiles = {} if _profiles is None else _profiles
     local = {f: np.asarray(coeffs[f]).T[(dgp if f == "p" else bdm).cell_dofs]
              for f in FIELDS}                                   # (nc, nd, S)
 
-    e_u = _on_points(bdm.volume.values, local["u"]) - _exact_values(exact, "u", pts)
-    e_v = _on_points(bdm.volume.values, local["v"]) - _exact_values(exact, "v", pts)
-    e_w = _on_points(bdm.volume.values, local["w"]) - _exact_values(exact, "w", pts)
-    e_p = _on_points(dgp.volume.values, local["p"]) - _exact_values(exact, "p", pts)
+    def exact_at(name):
+        return _exact_values(exact, name, pts, "volume", profiles)
+
+    e_u = _on_points(bdm.volume.values, local["u"]) - exact_at("u")
+    e_v = _on_points(bdm.volume.values, local["v"]) - exact_at("v")
+    e_w = _on_points(bdm.volume.values, local["w"]) - exact_at("w")
+    e_p = _on_points(dgp.volume.values, local["p"]) - exact_at("p")
 
     u_l2_sq = _integral(w, e_u * e_u)
     mrho_sq = _integral(w, prm.rho_bar * e_v * e_v + 2.0 * prm.rho_f * e_v * e_w
@@ -94,14 +116,13 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
     wk_sq = _integral(w, e_w * np.einsum("ab,cqbs->cqas", prm.kappa_inv, e_w))
     p_sq = _integral(w, e_p * e_p)
 
-    grad_err = (_on_points(bdm.volume.grads, local["u"])
-                - _exact_values(exact, "grad_u", pts))
+    grad_err = _on_points(bdm.volume.grads, local["u"]) - exact_at("grad_u")
     h1_sq = _integral(w, grad_err * grad_err)
-    div_err = _on_points(bdm.volume.divs, local["u"]) - _exact_values(exact, "div_u", pts)
+    div_err = _on_points(bdm.volume.divs, local["u"]) - exact_at("div_u")
     div_sq = _integral(w, div_err * div_err)
 
     sec = _on_points(bdm.volume_seconds, local["u"]) if bdm.degree >= 2 else 0.0
-    sec_err = sec - _exact_values(exact, "second_u", pts)
+    sec_err = sec - exact_at("second_u")
     if np.isscalar(sec_err):
         h2_sq = 0.0
     else:
@@ -113,7 +134,7 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
     jump = _on_points(tr.values0, local["u"][mesh.edge_cells[:, 0]])
     jump[tr.interior] -= _on_points(tr.values1, local["u"][mesh.edge_cells[tr.interior, 1]])
     boundary = np.flatnonzero(mesh.boundary_edge)
-    jump[boundary] -= _exact_values(exact, "u", tr.points[boundary])
+    jump[boundary] -= _exact_values(exact, "u", tr.points[boundary], "boundary", profiles)
     tangents = tr.normals @ np.array([[0.0, 1.0], [-1.0, 0.0]])
     jt = np.einsum("eqas,ea->eqs", jump, tangents)
     # the h_e from ds and the h_e^{-1} weight cancel
@@ -133,13 +154,14 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
 
 
 def _stacked_errors(disc: Discretization, case, values: dict[str, np.ndarray],
-                    times) -> dict[str, np.ndarray]:
+                    times, profiles: dict | None = None) -> dict[str, np.ndarray]:
     """``field_error_norms`` of trajectory values (S, ndofs) per field at S times."""
     if isinstance(case, DiscreteCase):
         states = [case.exact_state(t) for t in times]
         return field_error_norms(disc, {f: v - np.stack([getattr(st, f) for st in states])
                                         for f, v in values.items()})
-    return field_error_norms(disc, values, case.exact_terms(np.asarray(times)))
+    return field_error_norms(disc, values, case.exact_terms(np.asarray(times)),
+                             _profiles=profiles)
 
 
 def sample_error_norms(traj: Trajectory, case, t: float) -> dict[str, float]:
@@ -147,21 +169,30 @@ def sample_error_norms(traj: Trajectory, case, t: float) -> dict[str, float]:
     return {key: float(val[0]) for key, val in norms.items()}
 
 
-def trajectory_errors(traj: Trajectory, case) -> dict[str, float]:
+def trajectory_errors(traj: Trajectory, case, l2_in_time: bool = True) -> dict[str, float]:
     """Reduce the per-time error norms over the run, one evaluation per slab.
 
-    Linf norms are maxima over slab endpoints plus the interior Gauss-Lobatto
-    points of every slab; the endpoint-only combined measure (graph norm of u,
-    density norm of (v, w), sqrt(s0)-scaled pressure) is reported separately;
-    L2-in-time norms use a dense Gauss rule per slab.
+    Linf norms (``*_Linf``) are maxima over slab endpoints plus the interior
+    Gauss-Lobatto points of every slab; the endpoint-only combined measure
+    (graph norm of u, density norm of (v, w), sqrt(s0)-scaled pressure) is
+    reported separately.  With ``l2_in_time`` the L2-in-time norms
+    (``*_L2I``) are added, from a dense Gauss rule per slab: min(k+2, 6) more
+    samples per slab.  Without it each slab is sampled only where the Linf
+    norms look, k-1 interior points plus its left end (and the right end of
+    the last slab), and the other keys are unchanged.
+
+    The exact profiles are evaluated once per point set for the whole call.
     """
     grid, k = traj.grid, traj.k
     prm = traj.disc.params
     ends = grid.endpoints
     rule = gauss_rule(min(k + 2, 6))
     # slab positions after the endpoint rows: interior Gauss-Lobatto, then Gauss
-    inner = np.concatenate([gauss_lobatto_rule(k).nodes[1:-1], rule.nodes])
+    inner = gauss_lobatto_rule(k).nodes[1:-1]
+    if l2_in_time:
+        inner = np.concatenate([inner, rule.nodes])
     basis = lagrange_basis("G0", k)
+    profiles: dict = {}
 
     linf: dict[str, float] = {}
     l2i_sq: dict[str, float] = {}
@@ -171,12 +202,14 @@ def trajectory_errors(traj: Trajectory, case) -> dict[str, float]:
         lagrange = basis.eval_all(np.concatenate([[0.0, 1.0][:n_end], inner]))
         times = np.concatenate([ends[n:n + n_end], ends[n] + grid.tau * inner])
         norms = _stacked_errors(traj.disc, case,
-                                {f: lagrange @ traj.coeffs[f][n] for f in FIELDS}, times)
+                                {f: lagrange @ traj.coeffs[f][n] for f in FIELDS}, times,
+                                profiles)
         n_linf = n_end + k - 1
         for key, val in norms.items():
             linf[key] = max(linf.get(key, 0.0), float(val[:n_linf].max()))
-            l2i_sq[key] = (l2i_sq.get(key, 0.0)
-                           + grid.tau * float(rule.weights @ val[n_linf:] ** 2))
+            if l2_in_time:
+                l2i_sq[key] = (l2i_sq.get(key, 0.0)
+                               + grid.tau * float(rule.weights @ val[n_linf:] ** 2))
         combined = (norms["u_Uh"] + norms["mrho_vw"] + np.sqrt(prm.s0) * norms["p_L2"])
         combined_endpoint = max(combined_endpoint, float(combined[:n_end].max()))
 
@@ -331,7 +364,7 @@ def temporal_study(params: asm.PhysicalParams, k: int, ell: int, slab_counts,
         grid = TimeGrid(total_time, int(n_slabs))
         sources = case.sources()
         traj = march(disc, k, grid, case.initial_state(), sources)
-        errs = trajectory_errors(traj, case)
+        errs = trajectory_errors(traj, case, l2_in_time=False)
         audit_worst = max(audit_worst, mass_conservation_audit(traj, sources))
         result.steps.append(grid.tau)
         result.h_values.append(1.0 / mesh_n)
@@ -362,7 +395,7 @@ def spatial_study(params: asm.PhysicalParams, ell: int, mesh_sizes, k: int = 2,
         grid = TimeGrid(total_time, n_slabs)
         sources = case.sources()
         traj = march(disc, k, grid, case.initial_state(disc), sources)
-        errs = trajectory_errors(traj, case)
+        errs = trajectory_errors(traj, case, l2_in_time=False)
         audit_worst = max(audit_worst, mass_conservation_audit(traj, sources))
         result.steps.append(1.0 / nx)
         result.h_values.append(1.0 / nx)
@@ -377,7 +410,7 @@ def spatial_study(params: asm.PhysicalParams, ell: int, mesh_sizes, k: int = 2,
         disc, case, sources, errs = last
         grid2 = TimeGrid(total_time, 2 * n_slabs)
         traj2 = march(disc, k, grid2, case.initial_state(disc), sources)
-        errs2 = trajectory_errors(traj2, case)
+        errs2 = trajectory_errors(traj2, case, l2_in_time=False)
         rel = max(abs(errs2[key] - errs[key]) / errs[key]
                   for key in ("combined_Linf", "u_L2_Linf"))
         result.extras["tau_halving_change"] = rel

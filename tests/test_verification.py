@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -129,6 +132,77 @@ def test_field_error_norms_stack_matches_single_calls(params_ell1):
         for key, val in single.items():
             assert val.shape == (1,)
             assert stacked[key][i] == pytest.approx(val[0], rel=1e-12), key
+
+
+def _case_and_initial(kind, disc, k):
+    if kind == "trig":
+        case = mms.default_mms(disc.params, omega=3.0)
+        return case, case.initial_state(disc)
+    case = mms.discrete_case(disc, k, temporal="trig", omega=3.0)
+    return case, case.initial_state()
+
+
+@pytest.mark.parametrize("kind", ["trig", "discrete"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dropping_l2_in_time_changes_no_other_key(params, kind, k):
+    disc = Discretization(structured_mesh(3, 3), 0, params)
+    case, initial = _case_and_initial(kind, disc, k)
+    traj = march(disc, k, TimeGrid(0.5, 3), initial, case.sources())
+    full = ver.trajectory_errors(traj, case)
+    linf_only = ver.trajectory_errors(traj, case, l2_in_time=False)
+    assert not [key for key in linf_only if key.endswith("_L2I")]
+    assert sorted(linf_only) == sorted(key for key in full if not key.endswith("_L2I"))
+    for key, val in linf_only.items():
+        assert abs(val - full[key]) <= 1e-14 * abs(full[key]), key
+
+
+def test_profile_values_do_not_outlive_the_call(monkeypatch, params):
+    """Exact profile values are kept for one call only: no discretization may
+    stay reachable once trajectory_errors or projection_study returns."""
+    disc = Discretization(structured_mesh(2, 2), 0, params)
+    case = mms.default_mms(params)
+    traj = march(disc, 2, TimeGrid(0.5, 2), case.initial_state(disc), case.sources())
+    ver.trajectory_errors(traj, case)
+    alive = weakref.ref(disc)
+    del disc, traj
+    gc.collect()
+    assert alive() is None
+
+    built = []
+
+    def tracked(*args, **kwargs):
+        made = Discretization(*args, **kwargs)
+        built.append(weakref.ref(made))
+        return made
+
+    monkeypatch.setattr(ver, "Discretization", tracked)
+    ver.projection_study(params, ell=0, mesh_sizes=[2, 4])
+    gc.collect()
+    assert len(built) == 2
+    assert all(ref() is None for ref in built)
+
+
+def test_studies_sample_only_where_they_report(monkeypatch, params):
+    """The studies report maxima in time only: at k = 2 each slab is sampled
+    at its left end and its interior Gauss-Lobatto point, and the last slab of
+    every march also at its right end."""
+    sizes = []
+    original = ver.field_error_norms
+
+    def counting(disc, coeffs, *args, **kwargs):
+        sizes.append(len(coeffs["u"]))
+        return original(disc, coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(ver, "field_error_norms", counting)
+
+    def per_march(slab_counts):
+        return [s for n in slab_counts for s in [2] * (n - 1) + [3]]
+
+    ver.temporal_study(params, k=2, ell=0, slab_counts=[2, 4], mesh_n=2)
+    assert sizes == per_march([2, 4])
+    sizes.clear()
+    ver.spatial_study(params, ell=0, mesh_sizes=[2, 3], k=2, n_slabs=2)
+    assert sizes == per_march([2, 2, 4])       # two meshes, then the tau-halving rerun
 
 
 # --- projections ------------------------------------------------------------------------
