@@ -55,9 +55,12 @@ class TimeGrid:
     def tau(self) -> float:
         return self.total_time / self.num_slabs
 
-    @property
+    @cached_property
     def endpoints(self) -> np.ndarray:
-        return np.linspace(0.0, self.total_time, self.num_slabs + 1)
+        """Slab end times, computed once per grid and read-only (shared)."""
+        ends = np.linspace(0.0, self.total_time, self.num_slabs + 1)
+        ends.flags.writeable = False
+        return ends
 
 
 @dataclass
