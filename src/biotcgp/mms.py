@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly as asm
+from .linalg import LinearSystem, factor_system, lu_solve
 from .slab import FIELDS, Discretization, SlabState, SourceSet, project_initial_data
 from .spaces import interpolate_vector_field, project_scalar_field, remove_mean
 
@@ -246,16 +246,17 @@ class DiscreteCase:
         p_hat = remove_mean(dgp, project_scalar_field(dgp, P))
         self.u_hat, self.w_hat, self.p_hat = u_hat, w_hat, p_hat
 
+        # Riesz representers in the free BDM space: one mass factorization,
+        # four solves under the residual contract
         free = bdm.free
-        mass_lu = spla.splu(disc.mass_bdm[np.ix_(free, free)].tocsc())
-
-        def riesz(vec_free):
-            return bdm.lift(mass_lu.solve(vec_free))
-
-        self.q_elastic = riesz((disc.elasticity[np.ix_(free, free)] @ u_hat[free]))
-        self.q_pressure_u = riesz(disc.div_u_alpha[free, :] @ p_hat)
-        self.q_kinv = riesz(disc.mass_kinv[np.ix_(free, free)] @ w_hat[free])
-        self.q_pressure_w = riesz(disc.div_w[free, :] @ p_hat)
+        mass = disc.mass_bdm[np.ix_(free, free)]
+        loads = [disc.elasticity[np.ix_(free, free)] @ u_hat[free],
+                 disc.div_u_alpha[free, :] @ p_hat,
+                 disc.mass_kinv[np.ix_(free, free)] @ w_hat[free],
+                 disc.div_w[free, :] @ p_hat]
+        factor = factor_system(LinearSystem(mass, loads[0]))
+        self.q_elastic, self.q_pressure_u, self.q_kinv, self.q_pressure_w = (
+            bdm.lift(lu_solve(LinearSystem(mass, load), factor)) for load in loads)
         self.du_hat = disc.div_coefficients(u_hat, disc.div_u_alpha)
         self.dw_hat = disc.div_coefficients(w_hat)
 
