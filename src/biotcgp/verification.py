@@ -113,7 +113,7 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
     u_l2_sq = _integral(w, e_u * e_u)
     mrho_sq = _integral(w, prm.rho_bar * e_v * e_v + 2.0 * prm.rho_f * e_v * e_w
                         + prm.rho_w * e_w * e_w)
-    wk_sq = _integral(w, e_w * np.einsum("ab,cqbs->cqas", prm.kappa_inv, e_w))
+    wk_sq = _integral(w, e_w * (prm.kappa_inv @ e_w))
     p_sq = _integral(w, e_p * e_p)
 
     grad_err = _on_points(bdm.volume.grads, local["u"]) - exact_at("grad_u")

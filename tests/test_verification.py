@@ -134,19 +134,16 @@ def test_field_error_norms_stack_matches_single_calls(params_ell1):
             assert stacked[key][i] == pytest.approx(val[0], rel=1e-12), key
 
 
-def _case_and_initial(kind, disc, k):
-    if kind == "trig":
-        case = mms.default_mms(disc.params, omega=3.0)
-        return case, case.initial_state(disc)
-    case = mms.discrete_case(disc, k, temporal="trig", omega=3.0)
-    return case, case.initial_state()
-
-
 @pytest.mark.parametrize("kind", ["trig", "discrete"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_dropping_l2_in_time_changes_no_other_key(params, kind, k):
     disc = Discretization(structured_mesh(3, 3), 0, params)
-    case, initial = _case_and_initial(kind, disc, k)
+    if kind == "trig":
+        case = mms.default_mms(params, omega=3.0)
+        initial = case.initial_state(disc)
+    else:
+        case = mms.discrete_case(disc, k, temporal="trig", omega=3.0)
+        initial = case.initial_state()
     traj = march(disc, k, TimeGrid(0.5, 3), initial, case.sources())
     full = ver.trajectory_errors(traj, case)
     linf_only = ver.trajectory_errors(traj, case, l2_in_time=False)
