@@ -9,13 +9,14 @@ L2-orthonormal modal basis so cell mass matrices are diagonal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .time_basis import gauss_rule
+from .time_basis import gauss_legendre_rule, gauss_rule
 
 __all__ = ["GeometryError", "ReferenceElement", "reference_element", "triangle_rule"]
 
@@ -79,7 +80,7 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
         weights = 0.5 * np.asarray(wts)
     else:
         n = (degree + 3) // 2  # covers the extra (1-u) factor of the collapse
-        line = gauss_rule(n)
+        line = gauss_legendre_rule(n)
         u, wu = line.nodes, line.weights
         uu, vv = np.meshgrid(u, u, indexing="ij")
         ww = np.outer(wu, wu) * (1.0 - uu)
@@ -92,57 +93,32 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 # --- monomial tabulation ----------------------------------------------------
 
-def eval_scalar_monomials(exps, points: np.ndarray) -> np.ndarray:
-    """Values of x^a y^b; shape (n_monomials, n_points)."""
+def eval_scalar_monomials(exps, points: np.ndarray, order: int = 0) -> np.ndarray:
+    """Derivatives of order ``order`` of x^a y^b; shape (n_monomials, ...,
+    *[2]*order), one trailing axis per derivative direction (0 = x, 1 = y)."""
     x, y = points[..., 0], points[..., 1]
-    return np.stack([x ** a * y ** b for a, b in exps])
-
-
-def eval_scalar_monomial_grads(exps, points: np.ndarray) -> np.ndarray:
-    x, y = points[..., 0], points[..., 1]
-    out = []
-    for a, b in exps:
-        gx = a * x ** (a - 1) * y ** b if a > 0 else np.zeros_like(x)
-        gy = b * x ** a * y ** (b - 1) if b > 0 else np.zeros_like(x)
-        out.append(np.stack([gx, gy], axis=-1))
-    return np.stack(out)
-
-
-def _scalar_second(a, b, x, y):
-    sxx = a * (a - 1) * x ** (a - 2) * y ** b if a > 1 else np.zeros_like(x)
-    syy = b * (b - 1) * x ** a * y ** (b - 2) if b > 1 else np.zeros_like(x)
-    sxy = a * b * x ** (a - 1) * y ** (b - 1) if (a > 0 and b > 0) else np.zeros_like(x)
-    return np.stack([np.stack([sxx, sxy], axis=-1), np.stack([sxy, syy], axis=-1)], axis=-2)
-
-
-def eval_vector_monomials(exps, points: np.ndarray) -> np.ndarray:
-    """[P_r]^2 monomials as (m,0) block then (0,m) block; shape (2*nm, np, 2)."""
-    scal = eval_scalar_monomials(exps, points)
-    zeros = np.zeros_like(scal)
-    top = np.stack([scal, zeros], axis=-1)
-    bot = np.stack([zeros, scal], axis=-1)
-    return np.concatenate([top, bot])
-
-
-def eval_vector_monomial_grads(exps, points: np.ndarray) -> np.ndarray:
-    """Shape (2*nm, ..., 2, 2); axes: component, derivative direction."""
-    g = eval_scalar_monomial_grads(exps, points)      # (nm, ..., 2)
-    nm = g.shape[0]
-    out = np.zeros((2 * nm,) + g.shape[1:-1] + (2, 2))
-    out[:nm, ..., 0, :] = g
-    out[nm:, ..., 1, :] = g
+    out = np.zeros((len(exps),) + x.shape + (2,) * order)
+    for m, (a, b) in enumerate(exps):
+        for dirs in itertools.product((0, 1), repeat=order):
+            j = sum(dirs)
+            i = order - j
+            c = math.perm(a, i) * math.perm(b, j)
+            if c:
+                out[(m, ...) + dirs] = c * x ** (a - i) * y ** (b - j)
     return out
 
 
-def eval_vector_monomial_seconds(exps, points: np.ndarray) -> np.ndarray:
-    """Shape (2*nm, ..., 2, 2, 2); axes: component, d_a, d_b."""
-    x, y = points[..., 0], points[..., 1]
+def eval_vector_monomials(exps, points: np.ndarray, order: int = 0) -> np.ndarray:
+    """[P_r]^2 monomials as (m,0) block then (0,m) block, differentiated
+    ``order`` times; shape (2*nm, ..., 2, *[2]*order), the component axis
+    before the derivative axes."""
+    scal = eval_scalar_monomials(exps, points, order)
     nm = len(exps)
-    out = np.zeros((2 * nm,) + x.shape + (2, 2, 2))
-    for m, (a, b) in enumerate(exps):
-        h = _scalar_second(a, b, x, y)
-        out[m, ..., 0, :, :] = h
-        out[nm + m, ..., 1, :, :] = h
+    lead = scal.ndim - order
+    out = np.zeros((2 * nm,) + scal.shape[1:lead] + (2,) + scal.shape[lead:])
+    comp = np.moveaxis(out, lead, 1)          # a view with the component axis second
+    comp[:nm, 0] = scal
+    comp[nm:, 1] = scal
     return out
 
 

@@ -340,26 +340,6 @@ class Trajectory:
     def state_at_endpoint(self, n: int) -> SlabState:
         return SlabState(*(self.endpoint(f, n) for f in FIELDS))
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        grid = self.grid
-        if t < -1e-12 or t > grid.total_time * (1.0 + 1e-12) + 1e-12:
-            raise ValueError(f"time {t} outside [0, {grid.total_time}]")
-        ends = grid.endpoints
-        n = int(np.searchsorted(ends, min(max(t, 0.0), grid.total_time), side="left"))
-        n = max(1, min(grid.num_slabs, n))
-        return n, ends[n - 1]
-
-    def eval(self, field_name: str, t: float) -> np.ndarray:
-        """Coefficient vector at time t (Lagrange evaluation within the slab)."""
-        ends = self.grid.endpoints
-        hit = np.flatnonzero(ends == t)
-        if hit.size:  # endpoints resolve to the shared stored values
-            return self.endpoint(field_name, int(hit[0]))
-        n, t_left = self._locate(t)
-        s = (t - t_left) / self.grid.tau
-        basis = lagrange_basis("G0", self.k)
-        return np.einsum("i,id->d", basis.eval_all(np.asarray(s)), self.coeffs[field_name][n - 1])
-
 
 def project_initial_data(disc: Discretization, u0, v0, w0, p0) -> SlabState:
     """Interpolate the vector data, project the pressure, remove its mean.

@@ -16,14 +16,12 @@ import numpy as np
 
 from . import elements as el
 from .mesh import Mesh
-from .time_basis import gauss_rule, _gauss_rule_any
+from .time_basis import gauss_legendre_rule, gauss_rule
 
 __all__ = ["FunctionSpace", "build_space", "interpolate_vector_field",
            "project_scalar_field", "remove_mean"]
 
 DENSE_EDGE_POINTS = 10   # moment quadrature for interpolating analytic data
-_MONOMIAL_TABLES = (el.eval_vector_monomials, el.eval_vector_monomial_grads,
-                    el.eval_vector_monomial_seconds)
 
 
 @dataclass
@@ -194,8 +192,8 @@ class FunctionSpace:
         bmat = self.cell_matrix[cells] / self.cell_det[cells][:, None, None]
         binv_t = np.swapaxes(self.cell_inverse[cells], 1, 2)
         out = []
-        for d, table in enumerate(_MONOMIAL_TABLES[:order + 1]):
-            ref = table(self.element.exponents, ref_points)    # (m, [n,] nq, 2, *[2]*d)
+        for d in range(order + 1):
+            ref = el.eval_vector_monomials(self.element.exponents, ref_points, d)
             ref = np.moveaxis(ref, (0, ref.ndim - d - 2), (-1, -2))  # ([n,] 2, ..., nq, m)
             t = ref.reshape(ref.shape[:-d - 3] + (-1, ref.shape[-1])) @ coeffs
             t = t.reshape((n,) + ref.shape[-d - 3:-1] + (-1,))  # (n, 2, *[2]*d, nq, nd)
@@ -311,7 +309,7 @@ def interpolate_vector_field(space: FunctionSpace, fn) -> np.ndarray:
     npe = space.element.n_edge_dofs
     coeffs = np.zeros(space.ndofs)
 
-    rule = _gauss_rule_any(DENSE_EDGE_POINTS)
+    rule = gauss_legendre_rule(DENSE_EDGE_POINTS)
     s_dense, w_dense = rule.nodes, rule.weights
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]

@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import Legendre, leggauss
 
 from .linalg import dense_min_eig_sym
 
@@ -27,6 +28,7 @@ __all__ = [
     "QuadratureRule",
     "LagrangeBasis",
     "gauss_rule",
+    "gauss_legendre_rule",
     "gauss_lobatto_rule",
     "node_family",
     "lagrange_basis",
@@ -36,65 +38,6 @@ __all__ = [
     "derivative_identity_suite",
     "coupling_matrix",
 ]
-
-
-def _legendre_pair(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Legendre P_k and P_{k-1} on [-1, 1] by three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    if k == 0:
-        return p_prev, np.zeros_like(x)
-    for n in range(1, k):
-        p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
-    return p, p_prev
-
-
-def _newton_gauss_nodes(k: int) -> np.ndarray:
-    """Roots of P_k on (-1, 1) by Newton iteration, tolerance 1e-15."""
-    i = np.arange(1, k + 1)
-    x = np.cos(np.pi * (4 * i - 1) / (4 * k + 2))
-    for _ in range(100):
-        pk, pkm1 = _legendre_pair(k, x)
-        dp = k * (x * pk - pkm1) / (x * x - 1.0)
-        dx = pk / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    return np.sort(x)
-
-def _newton_lobatto_interior(k: int) -> np.ndarray:
-    """Roots of P_k' on (-1, 1) (interior Gauss-Lobatto nodes for k+1 points)."""
-    if k < 2:
-        return np.zeros(0)
-    i = np.arange(1, k)
-    x = np.cos(np.pi * i / k)
-    for _ in range(100):
-        pk, pkm1 = _legendre_pair(k, x)
-        dp = k * (x * pk - pkm1) / (x * x - 1.0)
-        ddp = (2.0 * x * dp - k * (k + 1) * pk) / (1.0 - x * x)
-        dx = dp / ddp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    return np.sort(x)
-
-
-def _symmetrize_unit(t: np.ndarray) -> np.ndarray:
-    """Average out roundoff asymmetry of a node set on [0, 1]."""
-    return 0.5 * (t + (1.0 - t[::-1]))
-
-
-def _symmetrize_weights(w: np.ndarray) -> np.ndarray:
-    return 0.5 * (w + w[::-1])
-
-
-def _moment_weights(nodes: np.ndarray) -> np.ndarray:
-    """Quadrature weights on [0, 1] from the Vandermonde moment system."""
-    n = nodes.size
-    powers = np.arange(n)[:, None]
-    vander = nodes[None, :] ** powers
-    moments = 1.0 / (np.arange(n) + 1.0)
-    return np.linalg.solve(vander, moments)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -124,26 +67,29 @@ def _check_order(k: int) -> None:
 def gauss_rule(k: int) -> QuadratureRule:
     """k-point Gauss rule on [0, 1]."""
     _check_order(k)
-    return _gauss_rule_any(k)
+    return gauss_legendre_rule(k)
 
 
 @lru_cache(maxsize=None)
-def _gauss_rule_any(k: int) -> QuadratureRule:
-    # internal: dense rules for analytic-data moments, no slab-order cap
-    x = _newton_gauss_nodes(k)
-    t = _symmetrize_unit(0.5 * (x + 1.0))
-    w = _symmetrize_weights(_moment_weights(t))
-    return QuadratureRule("gauss", k, _frozen(t), _frozen(w))
+def gauss_legendre_rule(n: int) -> QuadratureRule:
+    """n-point Gauss rule on [0, 1] for any n >= 1, with no slab-order cap
+    (dense rules for moments of analytic data and the triangle collapse)."""
+    x, w = leggauss(n)
+    return QuadratureRule("gauss", n, _frozen(0.5 * (x + 1.0)), _frozen(0.5 * w))
 
 
 @lru_cache(maxsize=None)
 def gauss_lobatto_rule(k: int) -> QuadratureRule:
-    """(k+1)-point Gauss-Lobatto rule on [0, 1]; endpoints are nodes."""
+    """(k+1)-point Gauss-Lobatto rule on [0, 1]; endpoints are nodes.
+
+    The interior nodes are the roots of P_k' and the weights on [-1, 1] are
+    2 / (k (k+1) P_k(x)^2).
+    """
     _check_order(k)
-    xi = _newton_lobatto_interior(k)
-    t = np.concatenate(([0.0], _symmetrize_unit(0.5 * (xi + 1.0)) if xi.size else xi, [1.0]))
-    w = _symmetrize_weights(_moment_weights(t))
-    return QuadratureRule("gauss_lobatto", k, _frozen(t), _frozen(w))
+    p_k = Legendre.basis(k)
+    x = np.concatenate(([-1.0], p_k.deriv().roots(), [1.0]))
+    w = 2.0 / (k * (k + 1) * p_k(x) ** 2)
+    return QuadratureRule("gauss_lobatto", k, _frozen(0.5 * (x + 1.0)), _frozen(0.5 * w))
 
 
 def node_family(kind: str, k: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from .slab import FIELDS, Discretization, SourceSet, TimeGrid, Trajectory, march
 from .spaces import interpolate_vector_field, project_scalar_field
 from .time_basis import gauss_lobatto_rule, gauss_rule, lagrange_basis
 
-__all__ = ["field_error_norms", "sample_error_norms", "trajectory_errors",
+__all__ = ["field_error_norms", "trajectory_errors",
            "mass_conservation_audit", "projection_p1", "projection_p2",
            "projection_p3", "eoc", "StudyResult", "temporal_study", "spatial_study",
            "projection_study"]
@@ -136,7 +136,7 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
     boundary = np.flatnonzero(mesh.boundary_edge)
     jump[boundary] -= _exact_values(exact, "u", tr.points[boundary], "boundary", profiles)
     tangents = tr.normals @ np.array([[0.0, 1.0], [-1.0, 0.0]])
-    jt = np.einsum("eqas,ea->eqs", jump, tangents)
+    jt = (tangents[:, None, None, :] @ jump)[:, :, 0]
     # the h_e from ds and the h_e^{-1} weight cancel
     jump_sq = np.einsum("q,eqs->s", tr.s_weights, jt * jt)
 
@@ -162,11 +162,6 @@ def _stacked_errors(disc: Discretization, case, values: dict[str, np.ndarray],
                                         for f, v in values.items()})
     return field_error_norms(disc, values, case.exact_terms(np.asarray(times)),
                              _profiles=profiles)
-
-
-def sample_error_norms(traj: Trajectory, case, t: float) -> dict[str, float]:
-    norms = _stacked_errors(traj.disc, case, {f: traj.eval(f, t)[None] for f in FIELDS}, [t])
-    return {key: float(val[0]) for key, val in norms.items()}
 
 
 def trajectory_errors(traj: Trajectory, case, l2_in_time: bool = True) -> dict[str, float]:

@@ -12,7 +12,7 @@ from biotcgp.spaces import build_space, interpolate_vector_field
 
 # --- quadrature on the reference triangle --------------------------------------
 
-@pytest.mark.parametrize("degree", range(1, 11))
+@pytest.mark.parametrize("degree", range(1, 13))
 def test_triangle_rule_exactness(degree):
     qp, qw = el.triangle_rule(degree)
     assert abs(qw.sum() - 0.5) <= 1e-14

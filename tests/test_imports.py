@@ -1,6 +1,7 @@
 """Every import in src/ and tests/ is used: a name bound by an import must be
 read somewhere in its module or listed in its ``__all__``.  Every definition
-in src/ is reached: see ``test_no_dead_definitions``."""
+in src/ is reached: see ``test_no_dead_definitions``.  No src/ module imports
+another's underscore name: see ``test_no_private_cross_module_imports``."""
 
 import ast
 import pathlib
@@ -39,8 +40,6 @@ def test_no_unused_imports(path):
 # src/ definitions that only tests read, each with the reason it is kept; an
 # entry that gains a reader in src/ or goes away fails the scan too
 TEST_REFERENCES = {
-    "sample_error_norms": "the per-sample reference of "
-                          "test_trajectory_errors_matches_per_sample_loop",
     "grad_P": "the pressure gradient in the PDE-residual check of tests/test_mms.py",
 }
 SRC_FILES = sorted((ROOT / "src" / "biotcgp").glob("*.py"))
@@ -82,3 +81,17 @@ def test_no_dead_definitions():
     # the scan can miss a dead method that shares its name with a live one
     unreached = _unreached_definitions()
     assert sorted(unreached) == sorted(TEST_REFERENCES), unreached
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names bound by ``from x import _name``."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_private_cross_module_imports():
+    # what one src/ module uses of another goes through a public name
+    found = {path.name: names for path in SRC_FILES
+             if (names := _private_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert found == {}

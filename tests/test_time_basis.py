@@ -50,6 +50,17 @@ def test_exactness_degree(k, maker):
     assert abs(rule.integrate(lambda t: t ** m) - exact) > 1e-10 * exact
 
 
+@pytest.mark.parametrize("n", range(7, 13))
+def test_uncapped_gauss_rule_exactness(n):
+    """The rules above the slab-order cap: the 10-point edge moments of
+    ``interpolate_vector_field`` and the 7-point collapse of the degree 11
+    and 12 triangle rules integrate t^m, m < 2n, to round-off."""
+    rule = tb.gauss_legendre_rule(n)
+    for m in range(2 * n):
+        exact = 1.0 / (m + 1)
+        assert abs(rule.integrate(lambda t: t ** m) - exact) <= 1e-14 * exact, m
+
+
 def test_odd_monomial_value():
     for k in range(1, 7):
         got = tb.gauss_rule(k).integrate(lambda t: t ** (2 * k - 1))

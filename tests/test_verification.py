@@ -8,6 +8,7 @@ from biotcgp import assembly as asm, mms, spaces as sps, verification as ver
 from biotcgp.mesh import structured_mesh
 from biotcgp.slab import Discretization, SlabState, SourceSet, TimeGrid, march
 from biotcgp.time_basis import gauss_lobatto_rule, gauss_rule, lagrange_basis
+from sampling import sample_error_norms
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ def test_zero_trajectory_measures_exact_norm(disc4, params):
     case = mms.default_mms(params, omega)
     zero_traj = march(disc4, 1, TimeGrid(0.5, 2), SlabState.zeros(disc4), SourceSet())
     for t in (0.0, 0.2, 0.5):
-        norms = ver.sample_error_norms(zero_traj, case, t)
+        norms = sample_error_norms(zero_traj, case, t)
         closed_form = abs(1.0 + np.sin(omega * t)) * 0.5
         assert norms["p_L2"] == pytest.approx(closed_form, rel=1e-4)
 
@@ -59,7 +60,7 @@ def test_zero_trajectory_measures_exact_norm(disc4, params):
 def test_dg_norm_monotone_in_h2_term(disc4, params):
     case = mms.default_mms(params, omega=4.0)
     traj = march(disc4, 1, TimeGrid(0.5, 2), case.initial_state(disc4), case.sources())
-    norms = ver.sample_error_norms(traj, case, 0.25)
+    norms = sample_error_norms(traj, case, 0.25)
     assert norms["u_DG"] >= norms["u_DG_no_h2"]
     assert norms["u_Uh"] >= norms["u_DG"]
 
@@ -78,7 +79,7 @@ def _per_sample_trajectory_errors(traj, case):
         times.update(ends[n] + grid.tau * float(s) for s in gl[1:-1])
     linf, combined = {}, 0.0
     for t in sorted(times):
-        norms = ver.sample_error_norms(traj, case, t)
+        norms = sample_error_norms(traj, case, t)
         for key, val in norms.items():
             linf[key] = max(linf.get(key, 0.0), val)
         if t in ends:
@@ -88,7 +89,7 @@ def _per_sample_trajectory_errors(traj, case):
     l2i_sq = {}
     for n in range(grid.num_slabs):
         for s, wq in zip(rule.nodes, rule.weights):
-            norms = ver.sample_error_norms(traj, case, ends[n] + grid.tau * float(s))
+            norms = sample_error_norms(traj, case, ends[n] + grid.tau * float(s))
             for key, val in norms.items():
                 l2i_sq[key] = l2i_sq.get(key, 0.0) + grid.tau * wq * val * val
     out = {f"{key}_Linf": val for key, val in linf.items()}
