@@ -10,6 +10,7 @@ and golden outputs bit-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,25 @@ class Mesh:
     @property
     def domain_area(self) -> float:
         return float(self.areas.sum())
+
+    @cached_property
+    def _vtk_grid_text(self) -> str:
+        """Legacy VTK header and geometry of the cells, formatted once per mesh."""
+        nc = self.num_cells
+        return ("# vtk DataFile Version 3.0\nbiotcgp mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                + f"POINTS {self.num_vertices} double\n"
+                + _rows("%.17g %.17g 0\n", self.vertices)
+                + f"CELLS {nc} {4 * nc}\n" + _rows("3 %d %d %d\n", self.cells)
+                + f"CELL_TYPES {nc}\n" + "5\n" * nc)
+
+    @cached_property
+    def _vtk_edge_points_text(self) -> str:
+        """Legacy VTK header and edge-midpoint vertices, formatted once per mesh."""
+        ne = self.num_edges
+        return ("# vtk DataFile Version 3.0\nbiotcgp edge samples\nASCII\nDATASET POLYDATA\n"
+                + f"POINTS {ne} double\n"
+                + _rows("%.17g %.17g 0\n", self.edge_midpoints)
+                + f"VERTICES {ne} {2 * ne}\n" + _rows("1 %d\n", np.arange(ne)))
 
     def validate(self) -> None:
         """Check the structural invariants; raises AssertionError on violation."""
@@ -160,44 +180,31 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return fine
 
 
-def _vtk_header(title: str, dataset: str) -> list[str]:
-    return ["# vtk DataFile Version 3.0", title, "ASCII", f"DATASET {dataset}"]
+def _rows(fmt: str, values: np.ndarray) -> str:
+    """One ``fmt`` line per row of ``values``, formatted in a single pass;
+    ``%.17g`` gives the same text as ``format(x, ".17g")`` for every float."""
+    return (fmt * len(values)) % tuple(values.ravel().tolist())
 
 
 def write_vtk_mesh(mesh: Mesh, path: str,
                    cell_data: dict[str, np.ndarray] | None = None) -> None:
     """Legacy ASCII UNSTRUCTURED_GRID export with optional per-cell scalars."""
-    lines = _vtk_header("biotcgp mesh", "UNSTRUCTURED_GRID")
-    lines.append(f"POINTS {mesh.num_vertices} double")
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g} 0")
-    lines.append(f"CELLS {mesh.num_cells} {4 * mesh.num_cells}")
-    for a, b, c in mesh.cells:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {mesh.num_cells}")
-    lines.extend(["5"] * mesh.num_cells)
+    parts = [mesh._vtk_grid_text]
     if cell_data:
-        lines.append(f"CELL_DATA {mesh.num_cells}")
+        parts.append(f"CELL_DATA {mesh.num_cells}\n")
         for name, values in cell_data.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.17g}" for v in np.asarray(values, dtype=float))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            parts.append(_rows("%.17g\n", np.asarray(values, dtype=float)))
+    atomic_write_text(path, "".join(parts))
 
 
 def write_vtk_edges(mesh: Mesh, path: str,
                     vectors: dict[str, np.ndarray] | None = None) -> None:
     """Legacy ASCII POLYDATA export of edge midpoints with vector samples."""
-    lines = _vtk_header("biotcgp edge samples", "POLYDATA")
-    lines.append(f"POINTS {mesh.num_edges} double")
-    for x, y in mesh.edge_midpoints:
-        lines.append(f"{x:.17g} {y:.17g} 0")
-    lines.append(f"VERTICES {mesh.num_edges} {2 * mesh.num_edges}")
-    lines.extend(f"1 {i}" for i in range(mesh.num_edges))
+    parts = [mesh._vtk_edge_points_text]
     if vectors:
-        lines.append(f"POINT_DATA {mesh.num_edges}")
+        parts.append(f"POINT_DATA {mesh.num_edges}\n")
         for name, values in vectors.items():
-            values = np.asarray(values, dtype=float)
-            lines.append(f"VECTORS {name} double")
-            lines.extend(f"{vx:.17g} {vy:.17g} 0" for vx, vy in values)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            parts.append(f"VECTORS {name} double\n")
+            parts.append(_rows("%.17g %.17g 0\n", np.asarray(values, dtype=float)))
+    atomic_write_text(path, "".join(parts))

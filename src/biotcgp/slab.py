@@ -28,8 +28,7 @@ import scipy.sparse as sp
 from . import assembly as asm
 from .linalg import LinearSystem, factor_system, lu_factor, lu_solve
 from .mesh import Mesh, write_vtk_edges, write_vtk_mesh
-from .spaces import (FunctionSpace, build_space, interpolate_vector_field,
-                     project_scalar_field, remove_mean)
+from .spaces import build_space, interpolate_vector_field, project_scalar_field, remove_mean
 from .time_basis import gauss_rule, gauss_lobatto_rule, lagrange_basis
 
 __all__ = ["TimeGrid", "SlabState", "SourceSet", "Discretization", "SlabOperators",
@@ -380,13 +379,16 @@ def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
 
 
 def export_snapshots(traj: Trajectory, out_dir: str, stem: str = "snapshot") -> list[str]:
-    """Write slab-endpoint snapshots: cell pressures plus edge-sampled vectors."""
+    """Write slab-endpoint snapshots: cell pressures plus the BDM fields at the
+    edge midpoints, each evaluated in the edge's first adjacent cell."""
     import os
 
     disc = traj.disc
     mesh = disc.mesh
     nloc = disc.dgp.element.dim
-    mid_cells = mesh.edge_cells[:, 0]
+    cells = mesh.edge_cells[:, 0]
+    table = disc.bdm.tabulate_at(cells, mesh.edge_midpoints[:, None, :])[:, 0]
+    dofs = disc.bdm.cell_dofs[cells]
     paths = []
     for n in range(traj.grid.num_slabs + 1):
         state = traj.state_at_endpoint(n)
@@ -394,18 +396,8 @@ def export_snapshots(traj: Trajectory, out_dir: str, stem: str = "snapshot") -> 
         mesh_path = os.path.join(out_dir, f"{stem}_{n:04d}.vtk")
         write_vtk_mesh(mesh, mesh_path, {"pressure": p_cells})
         vec_path = os.path.join(out_dir, f"{stem}_{n:04d}_edges.vtk")
-        vectors = {}
-        for fname in ("u", "v", "w"):
-            vals = _edge_midpoint_values(disc.bdm, getattr(state, fname), mid_cells)
-            vectors[fname] = vals
+        vectors = {f: np.einsum("eia,ei->ea", table, getattr(state, f)[dofs])
+                   for f in ("u", "v", "w")}
         write_vtk_edges(mesh, vec_path, vectors)
         paths.extend([mesh_path, vec_path])
     return paths
-
-
-def _edge_midpoint_values(space: FunctionSpace, coeffs: np.ndarray,
-                          cells: np.ndarray) -> np.ndarray:
-    pts = space.mesh.edge_midpoints[:, None, :]
-    vals = space.tabulate_at(cells, pts)
-    local = coeffs[space.cell_dofs[cells]]
-    return np.einsum("eqia,ei->ea", vals, local)

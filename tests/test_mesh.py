@@ -108,3 +108,44 @@ def test_vtk_exports(tmp_path, mesh2):
     text = open(edge_path).read()
     assert "DATASET POLYDATA" in text
     assert "VECTORS w double" in text
+
+
+# -0.0, the smallest subnormal, a huge value, an inexact decimal, a repeating
+# fraction and an integer-valued float
+AWKWARD = np.array([-0.0, 5e-324, 1e300, 0.1, -1.0 / 3.0, 7.0])
+
+
+def test_vtk_bytes_match_per_row_formatting(tmp_path, mesh2):
+    def g(x):
+        return format(x, ".17g")
+
+    nv, nc, ne = mesh2.num_vertices, mesh2.num_cells, mesh2.num_edges
+    scalars = {"p": np.resize(AWKWARD, nc), "q": -np.resize(AWKWARD[::-1], nc)}
+    vectors = {"u": np.resize(AWKWARD, (ne, 2)), "w": np.resize(AWKWARD[::-1], (ne, 2))}
+    grid = (["# vtk DataFile Version 3.0", "biotcgp mesh", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
+            + [f"{g(x)} {g(y)} 0" for x, y in mesh2.vertices.tolist()]
+            + [f"CELLS {nc} {4 * nc}"] + [f"3 {a} {b} {c}" for a, b, c in mesh2.cells.tolist()]
+            + [f"CELL_TYPES {nc}"] + ["5"] * nc)
+    cell_data = [f"CELL_DATA {nc}"]
+    for name, values in scalars.items():
+        cell_data += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        cell_data += [g(v) for v in values.tolist()]
+    points = (["# vtk DataFile Version 3.0", "biotcgp edge samples", "ASCII",
+               "DATASET POLYDATA", f"POINTS {ne} double"]
+              + [f"{g(x)} {g(y)} 0" for x, y in mesh2.edge_midpoints.tolist()]
+              + [f"VERTICES {ne} {2 * ne}"] + [f"1 {i}" for i in range(ne)])
+    point_data = [f"POINT_DATA {ne}"]
+    for name, values in vectors.items():
+        point_data += [f"VECTORS {name} double"]
+        point_data += [f"{g(x)} {g(y)} 0" for x, y in values.tolist()]
+    awkward_text = "-0\n4.9406564584124654e-324\n1.0000000000000001e+300\n0.10000000000000001\n"
+    assert awkward_text in "\n".join(cell_data)
+
+    cases = [(write_vtk_mesh, None, grid), (write_vtk_mesh, scalars, grid + cell_data),
+             (write_vtk_edges, None, points), (write_vtk_edges, vectors, points + point_data)]
+    for i, (write, data, want) in enumerate(cases):
+        path = os.path.join(tmp_path, f"{i}.vtk")
+        write(mesh2, path, data)
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert handle.read() == "\n".join(want) + "\n"

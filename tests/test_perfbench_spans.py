@@ -8,7 +8,7 @@ import pytest
 
 from biotcgp import mms, verification as ver
 from biotcgp.mesh import structured_mesh
-from biotcgp.slab import Discretization, TimeGrid, march
+from biotcgp.slab import Discretization, TimeGrid, export_snapshots, march
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -67,3 +67,22 @@ def test_tracer_reads_every_slab_residual(monkeypatch, params, k):
     assert metrics["slab.solves"] == metrics["linalg.solves"] == grid.num_slabs
     assert metrics["linalg.factors"] == (k + 1) // 2
     assert 0.0 < metrics["slab.residual_max"] <= 1e-10
+
+
+def test_tracer_sees_every_snapshot_file_and_one_tabulation(monkeypatch, params, tmp_path):
+    # single_run's layer split puts the VTK text under io.format, one span per
+    # file, and the edge-midpoint table under spaces.tabulate_at, once per export
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    disc = Discretization(structured_mesh(2, 2), 0, params)
+    case = mms.default_mms(params)
+    grid = TimeGrid(0.5, 2)
+    traj = march(disc, 1, grid, case.initial_state(disc), case.sources())
+    tracer = Tracer()
+    paths = tracer.call("root", export_snapshots, traj, str(tmp_path))
+
+    names = [span[0] for span in tracer.spans]
+    assert names.count("io.format") == len(paths) == 2 * (grid.num_slabs + 1)
+    assert names.count("io.write") == len(paths)
+    assert names.count("spaces.tabulate_at") == 1
