@@ -12,6 +12,7 @@ from biotcgp.slab import (Discretization, SlabOperators, SlabState, SourceSet,
                           TimeGrid, march, project_initial_data)
 from biotcgp.time_basis import MAX_ORDER, composite_simpson, gauss_rule, lagrange_basis
 from biotcgp.verification import mass_conservation_audit
+from sampling import eval_at
 
 
 @pytest.fixture(scope="module")
@@ -291,9 +292,54 @@ def test_endpoint_shared_between_slabs(disc4):
     case = mms.discrete_case(disc4, 1, temporal="trig", omega=3.0)
     grid = TimeGrid(0.5, 4)
     traj = march(disc4, 1, grid, case.initial_state(), case.sources())
+    t1 = grid.endpoints[2]
     from_left = traj.endpoint("u", 2)
     stored_right = traj.coeffs["u"][2, 0]         # node 0 of the next slab
     assert np.array_equal(from_left, stored_right)
+    assert np.array_equal(eval_at(traj, "u", t1), stored_right)
+
+
+# --- eval_at, the off-node reference of the verification tests ---------------------
+
+def test_eval_at_gauss_node_returns_block(disc4):
+    for k in range(1, 5):
+        case = mms.discrete_case(disc4, k, temporal="trig", omega=3.0)
+        grid = TimeGrid(0.5, 2)
+        traj = march(disc4, k, grid, case.initial_state(), case.sources())
+        for j, s in enumerate(gauss_rule(k).nodes):   # Gauss nodes of slab 1
+            got = eval_at(traj, "w", grid.endpoints[0] + grid.tau * float(s))
+            assert np.allclose(got, traj.coeffs["w"][0, j + 1], atol=1e-12)
+
+
+def test_midpoint_is_endpoint_average_k1(disc4):
+    # linear-in-time slabs: the Gauss-node (midpoint) value averages the ends
+    case = mms.discrete_case(disc4, 1, temporal="poly")
+    grid = TimeGrid(0.5, 1)
+    traj = march(disc4, 1, grid, case.initial_state(), case.sources())
+    mid = eval_at(traj, "u", 0.25)
+    avg = 0.5 * (traj.endpoint("u", 0) + traj.endpoint("u", 1))
+    assert np.abs(mid - avg).max() <= 1e-11
+
+
+def test_eval_linear_in_coefficients(disc4):
+    case = mms.discrete_case(disc4, 1, temporal="trig", omega=2.0)
+    grid = TimeGrid(0.5, 2)
+    traj = march(disc4, 1, grid, case.initial_state(), case.sources())
+    t = 0.3
+    for f in ("u", "p"):
+        doubled = {k: v.copy() for k, v in traj.coeffs.items()}
+        doubled[f] = 2.0 * doubled[f]
+        traj2 = type(traj)(traj.grid, traj.k, traj.disc, doubled, traj.end_weights)
+        assert np.allclose(eval_at(traj2, f, t), 2.0 * eval_at(traj, f, t), atol=1e-13)
+
+
+def test_eval_outside_interval_rejected(disc4):
+    case = mms.discrete_case(disc4, 1, temporal="poly")
+    traj = march(disc4, 1, TimeGrid(0.5, 1), case.initial_state(), case.sources())
+    with pytest.raises(ValueError):
+        eval_at(traj, "u", -0.1)
+    with pytest.raises(ValueError):
+        eval_at(traj, "u", 0.6)
 
 
 def test_march_determinism(disc4):

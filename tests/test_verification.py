@@ -8,7 +8,7 @@ from biotcgp import assembly as asm, mms, spaces as sps, verification as ver
 from biotcgp.mesh import structured_mesh
 from biotcgp.slab import Discretization, SlabState, SourceSet, TimeGrid, march
 from biotcgp.time_basis import gauss_lobatto_rule, gauss_rule, lagrange_basis
-from sampling import eval_at, sample_error_norms
+from sampling import sample_error_norms
 
 
 @pytest.fixture(scope="module")
@@ -124,32 +124,6 @@ TEMPORAL_LEVELS = {1: [32, 64], 2: [16, 32], 3: [16, 32], 4: [8, 16]}
 OFF_NODE = (0.1, 0.3, 0.7, 0.9)   # no Gauss or Gauss-Lobatto node for k <= 4
 
 
-def _assert_eval_at_reads_the_stored_slabs(traj):
-    """``eval_at``, the off-node reference, against the coefficient layout
-    ``march`` writes: endpoints are the shared stored rows, Gauss nodes give
-    their blocks, k = 1 midpoints average the ends, evaluation is linear in
-    the coefficients, and times outside [0, T] are rejected."""
-    grid, k = traj.grid, traj.k
-    ends = grid.endpoints
-    for n in range(1, grid.num_slabs):
-        assert np.array_equal(eval_at(traj, "u", ends[n]), traj.coeffs["u"][n, 0])
-    for j, s in enumerate(gauss_rule(k).nodes):
-        got = eval_at(traj, "w", ends[0] + grid.tau * float(s))
-        assert np.allclose(got, traj.coeffs["w"][0, j + 1], atol=1e-12)
-    if k == 1:
-        mid = eval_at(traj, "u", ends[0] + 0.5 * grid.tau)
-        avg = 0.5 * (traj.endpoint("u", 0) + traj.endpoint("u", 1))
-        assert np.abs(mid - avg).max() <= 1e-11
-    for f in ("u", "p"):
-        doubled = {key: val.copy() for key, val in traj.coeffs.items()}
-        doubled[f] = 2.0 * doubled[f]
-        traj2 = type(traj)(traj.grid, traj.k, traj.disc, doubled, traj.end_weights)
-        assert np.allclose(eval_at(traj2, f, 0.3), 2.0 * eval_at(traj, f, 0.3), atol=1e-13)
-    for t in (-0.1, grid.total_time + 0.1):
-        with pytest.raises(ValueError):
-            eval_at(traj, "u", t)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_temporal_orders_in_both_norms(disc4, k):
     """cGP(k) in time on a case with no spatial error: the L2-in-time norms and
@@ -167,8 +141,6 @@ def test_temporal_orders_in_both_norms(disc4, k):
                 for key in ("u_Uh", "p_L2", "w_Kinv"):
                     errs[f"{key}_max"] = max(errs.get(f"{key}_max", 0.0), norms[key])
         levels.append((grid.tau, errs))
-        if len(levels) == 1:
-            _assert_eval_at_reads_the_stored_slabs(traj)
     taus = [tau for tau, _ in levels]
 
     def rate(key):
