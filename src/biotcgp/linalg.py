@@ -57,13 +57,14 @@ class SolverError(RuntimeError):
 
 @dataclass
 class LinearSystem:
-    """Square sparse system with optional equality-constraint rows (C, d).
+    """Square system with optional equality-constraint rows (C, d).
 
-    The solved vector carries the primary unknowns followed by one Lagrange
-    multiplier per constraint row.
+    ``matrix`` is sparse or an operator with ``@`` and ``.shape``.  The solved
+    vector carries the primary unknowns followed by one Lagrange multiplier
+    per constraint row.
     """
 
-    matrix: sp.spmatrix
+    matrix: sp.spmatrix | spla.LinearOperator
     rhs: np.ndarray
     constraints: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -94,7 +95,8 @@ def _border_rows(c) -> np.ndarray:
     return np.atleast_2d(np.asarray(c, dtype=float))
 
 
-def _bordered_matvec(matrix: sp.spmatrix, c: np.ndarray | None, solution: np.ndarray) -> np.ndarray:
+def _bordered_matvec(matrix: sp.spmatrix | spla.LinearOperator, c: np.ndarray | None,
+                     solution: np.ndarray) -> np.ndarray:
     """[[A, C^T], [C, 0]] @ (x, lam); just A @ x when there is no border."""
     if c is None:
         return matrix @ solution
@@ -152,11 +154,12 @@ class BorderedFactor:
     """LU of the inner matrix plus a dense Schur complement for the border.
 
     ``factorize(matrix)`` builds the inner solver (anything with ``solve``
-    returning a real vector); it defaults to ``lu_factor``.  The matrix is
-    kept for the refinement steps of ``solve``.
+    returning a real vector); it defaults to ``lu_factor``, which needs a
+    sparse matrix.  The matrix, sparse or an operator with ``@`` and
+    ``.shape``, is kept for the refinement steps of ``solve``.
     """
 
-    def __init__(self, matrix: sp.spmatrix, constraints, factorize=None):
+    def __init__(self, matrix: sp.spmatrix | spla.LinearOperator, constraints, factorize=None):
         self.matrix = matrix
         self.inner = (lu_factor if factorize is None else factorize)(matrix)
         if constraints is None:

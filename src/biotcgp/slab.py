@@ -14,16 +14,19 @@ k×k matrix D splits it into ceil(k/2) independent spatial systems
 lam T + tau S (Butcher 1976), one per real eigenvalue or conjugate pair.
 Those are factorized once per slab length and reused while marching; the
 bordered solve refines against the coupled matrix, which absorbs the
-conditioning of the eigenvector transform.
+conditioning of the eigenvector transform.  That matrix is never assembled:
+the refinement and the residual contract apply it through its Kronecker
+factors on the (k, block) view of the stage unknowns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import assembly as asm
 from .linalg import LinearSystem, factor_system, lu_factor, lu_solve
@@ -166,6 +169,15 @@ class Discretization:
         return load - (total / area) * self.p_volume
 
 
+def _apply_slab(dt_weights: np.ndarray, mass_weights: np.ndarray, t_block: sp.spmatrix,
+                s_block: sp.spmatrix, tau: float, x: np.ndarray) -> np.ndarray:
+    """(dt_weights ⊗ T + tau mass_weights ⊗ S) x on the (k, block) view of x."""
+    nodes = x.reshape(dt_weights.shape[0], -1)
+    tx = np.stack([t_block @ xj for xj in nodes])
+    sx = np.stack([s_block @ xj for xj in nodes])
+    return (dt_weights @ tx + tau * (mass_weights @ sx)).ravel()
+
+
 class GaussStages:
     """Inverse of the coupled stage matrix A ⊗ T + tau B ⊗ S.
 
@@ -240,18 +252,18 @@ class SlabOperators:
         self.gl_nodes = gauss_lobatto_rule(k).nodes
         self.end_weights = basis_g0.eval_all(np.asarray(1.0))               # (k+1,)
 
-        self.inner_matrix = (
-            sp.kron(self.theta_dt[:, 1:], self.time_derivative_block, format="csr")
-            + self.tau * sp.kron(self.theta_mass[:, 1:], self.stationary_block,
-                                 format="csr"))
+        # the coupled matrix is applied through its Kronecker factors, never
+        # assembled; the matvec and the stage solver hold these, not self, so
+        # no cycle keeps the operators and their LUs alive
+        self._kronecker = (self.theta_dt[:, 1:], self.theta_mass[:, 1:],
+                           self.time_derivative_block, self.stationary_block, self.tau)
+        n = k * self.block_size
+        self.inner_matrix = spla.LinearOperator(
+            (n, n), matvec=partial(_apply_slab, *self._kronecker), dtype=float)
         # one zero-mean multiplier per trial node; kept out of the sparse
         # factorization (dense rows poison the ordering)
-        cons = np.zeros((k, k * self.block_size))
-        p_offset = 3 * self.n_bdm
-        for j in range(k):
-            cons[j, j * self.block_size + p_offset:
-                 j * self.block_size + p_offset + self.n_p] = disc.p_volume
-        self.constraint_rows = cons
+        self.constraint_rows = np.kron(np.eye(k), np.concatenate(
+            [np.zeros(3 * self.n_bdm), disc.p_volume]))
         self._factor = None
 
     def restrict_state(self, state: SlabState) -> np.ndarray:
@@ -275,37 +287,18 @@ class SlabOperators:
         # the left-end value enters through the time derivative only: the G0
         # node-0 basis vanishes at every Gauss node, so theta_mass[:, 0] == 0
         tx0 = self.time_derivative_block @ x0
-        loads = [self._load_stack(sources, t_left + self.tau * s) for s in self.gl_nodes]
-        parts = []
-        for m in range(self.k):
-            rhs_m = -self.theta_dt[m, 0] * tx0
-            for a, load in enumerate(loads):
-                rhs_m = rhs_m + self.tau * self.theta_src[m, a] * load
-            parts.append(rhs_m)
-        return np.concatenate(parts + [np.zeros(self.k)])
+        loads = np.array([self._load_stack(sources, t_left + self.tau * s)
+                          for s in self.gl_nodes])
+        nodes = self.tau * self.theta_src @ loads - np.outer(self.theta_dt[:, 0], tx0)
+        return np.concatenate([nodes.ravel(), np.zeros(self.k)])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n = self.k * self.block_size
+        n = self.inner_matrix.shape[0]
         system = LinearSystem(self.inner_matrix, rhs[:n],
                               constraints=(self.constraint_rows, rhs[n:]))
         if self._factor is None:
-            self._factor = factor_system(system, lambda _: GaussStages(
-                self.theta_dt[:, 1:], self.theta_mass[:, 1:], self.time_derivative_block,
-                self.stationary_block, self.tau))
+            self._factor = factor_system(system, lambda _: GaussStages(*self._kronecker))
         return lu_solve(system, self._factor)
-
-    def split_nodes(self, solution: np.ndarray) -> list[SlabState]:
-        """Unpack the k trial-node blocks into full-DOF states."""
-        disc = self.disc
-        states = []
-        for j in range(self.k):
-            blk = solution[j * self.block_size:(j + 1) * self.block_size]
-            u = disc.bdm.lift(blk[:self.n_bdm])
-            v = disc.bdm.lift(blk[self.n_bdm:2 * self.n_bdm])
-            w = disc.bdm.lift(blk[2 * self.n_bdm:3 * self.n_bdm])
-            p = blk[3 * self.n_bdm:]
-            states.append(SlabState(u, v, w, p))
-        return states
 
 
 @dataclass
@@ -368,11 +361,11 @@ def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
     state = initial
     for n in range(1, grid.num_slabs + 1):
         rhs = ops.rhs(state, grid.endpoints[n - 1], sources)
-        nodes = ops.split_nodes(ops.solve(rhs))
-        for fname in FIELDS:
+        nodes = ops.solve(rhs)[:k * ops.block_size].reshape(k, ops.block_size)
+        fields = np.split(nodes, np.arange(1, 4) * ops.n_bdm, axis=1)
+        for fname, values in zip(FIELDS, fields):
             coeffs[fname][n - 1, 0] = getattr(state, fname)
-            for j, node_state in enumerate(nodes):
-                coeffs[fname][n - 1, j + 1] = getattr(node_state, fname)
+            coeffs[fname][n - 1, 1:] = values if fname == "p" else disc.bdm.lift(values)
         state = SlabState(*(np.einsum("i,id->d", ops.end_weights, coeffs[f][n - 1])
                             for f in FIELDS))
     return Trajectory(grid, k, disc, coeffs, ops.end_weights)

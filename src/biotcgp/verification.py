@@ -326,6 +326,9 @@ class StudyResult:
         return {key: eoc(vals, self.steps) for key, vals in self.columns.items()}
 
     def to_csv(self, path: str) -> None:
+        """One row per level: h, tau, every column and its EOC.  The ``*_Linf``
+        columns are maxima over the slab ends and the interior Gauss-Lobatto
+        nodes, not over all of [0, T]."""
         names = sorted(self.columns)
         rates = self.rates()
         header = ["level", "h", "tau"] + names + [f"eoc_{n}" for n in names]

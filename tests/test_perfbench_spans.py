@@ -67,6 +67,9 @@ def test_tracer_reads_every_slab_residual(monkeypatch, params, k):
     assert metrics["slab.solves"] == metrics["linalg.solves"] == grid.num_slabs
     assert metrics["linalg.factors"] == (k + 1) // 2
     assert 0.0 < metrics["slab.residual_max"] <= 1e-10
+    # the observer reads the shape of the coupled operator, which is never
+    # assembled: k blocks of the free u, v, w and all p unknowns
+    assert metrics["slab.unknowns"] == k * (3 * disc.bdm.free.size + disc.dgp.ndofs)
 
 
 def test_tracer_sees_every_snapshot_file_and_one_tabulation(monkeypatch, params, tmp_path):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -116,10 +119,50 @@ def test_build_and_solve_single_slab(disc4, params):
     grid = TimeGrid(0.5, 1)
     ops = SlabOperators(disc4, 1, grid.tau)
     rhs = ops.rhs(case.initial_state(), grid.endpoints[0], case.sources())
-    nodes = ops.split_nodes(ops.solve(rhs))
+    node = ops.solve(rhs)[:ops.block_size]
     exact = case.exact_state(grid.tau * gauss_rule(1).nodes[0])
-    for f in ("u", "v", "w", "p"):
-        assert np.abs(getattr(nodes[0], f) - getattr(exact, f)).max() <= 1e-9
+    assert np.abs(node - ops.restrict_state(exact)).max() <= 1e-9
+
+
+def _assembled_inner(ops):
+    """The coupled slab matrix theta_dt ⊗ T + tau theta_mass ⊗ S, assembled."""
+    return (sp.kron(ops.theta_dt[:, 1:], ops.time_derivative_block)
+            + ops.tau * sp.kron(ops.theta_mass[:, 1:], ops.stationary_block)).tocsc()
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+def test_inner_operator_matches_assembled_kronecker(params, rng, k, ell):
+    disc = Discretization(structured_mesh(3, 3), ell, params)
+    ops = SlabOperators(disc, k, 0.1)
+    n = k * ops.block_size
+    assert not sp.issparse(ops.inner_matrix)
+    assert ops.inner_matrix.shape == (n, n)
+    reference = _assembled_inner(ops)
+    for _ in range(2):
+        x = rng.standard_normal(n)
+        want = reference @ x
+        assert np.linalg.norm(ops.inner_matrix @ x - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_slab_operators_freed_without_the_collector(disc4, monkeypatch):
+    # the stage LUs are the largest objects of a march; a reference cycle
+    # through the operator's matvec would keep them until a collection
+    refs = []
+    init = SlabOperators.__init__
+
+    def recording(ops, *args):
+        init(ops, *args)
+        refs.append(weakref.ref(ops))
+    monkeypatch.setattr(SlabOperators, "__init__", recording)
+    case = mms.default_mms(disc4.params)
+    gc.collect()
+    gc.disable()
+    try:
+        march(disc4, 2, TimeGrid(0.5, 2), case.initial_state(disc4), case.sources())
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
 
 
 # --- decoupled stage solves -----------------------------------------------------------
@@ -143,7 +186,7 @@ def test_stage_solve_matches_coupled_direct_solve(params, rng, monkeypatch, k, e
     ops = SlabOperators(disc, k, 0.1)
     calls = _recording_lu(monkeypatch)
     n = ops.inner_matrix.shape[0]
-    bordered = sp.bmat([[ops.inner_matrix, ops.constraint_rows.T],
+    bordered = sp.bmat([[_assembled_inner(ops), ops.constraint_rows.T],
                         [ops.constraint_rows, None]], format="csc")
     for _ in range(2):
         rhs = rng.standard_normal(n + k)

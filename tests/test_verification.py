@@ -152,6 +152,24 @@ def test_temporal_orders_in_both_norms(disc4, k):
         assert rate("combined_endpoint") >= 2 * k - 0.2
 
 
+@pytest.mark.parametrize("ell", [0, 1])
+def test_spatial_orders_in_l2_in_time(params, params_ell1, ell):
+    """The spatial study's setup measured in L2 in time: u converges at the
+    optimal BDM order ell+2 and p at the DG order ell+1."""
+    params = params_ell1 if ell else params
+    meshes = [4, 8, 16]
+    levels = []
+    for nx in meshes:
+        disc = Discretization(structured_mesh(nx, nx), ell, params)
+        case = mms.default_mms(params, omega=2.0)
+        traj = march(disc, 2, TimeGrid(0.5, 8), case.initial_state(disc), case.sources())
+        levels.append(ver.trajectory_errors(traj, case, l2_in_time=True))
+    steps = [1.0 / nx for nx in meshes]
+    for key, order in (("u_L2_L2I", ell + 2), ("p_L2_L2I", ell + 1)):
+        rate = ver.eoc([errs[key] for errs in levels], steps)[-1]
+        assert abs(rate - order) <= 0.15, (key, rate)
+
+
 def test_field_error_norms_stack_matches_single_calls(params_ell1):
     disc = Discretization(structured_mesh(2, 2), 1, params_ell1)
     case = mms.default_mms(params_ell1, omega=3.0)
