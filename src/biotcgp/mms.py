@@ -281,10 +281,11 @@ class DiscreteCase:
         ])
         return SourceSet(f=f, g=g, mass=mass)
 
-    def exact_state(self, t: float) -> SlabState:
-        tf = self.tf
-        return SlabState(tf.a(t) * self.u_hat, tf.da(t) * self.u_hat,
-                         tf.b(t) * self.w_hat, tf.c(t) * self.p_hat)
+    def exact_state(self, t) -> SlabState:
+        """Exact coefficients at time t; at an array of times, one row per time."""
+        tf, outer = self.tf, np.multiply.outer
+        return SlabState(outer(tf.a(t), self.u_hat), outer(tf.da(t), self.u_hat),
+                         outer(tf.b(t), self.w_hat), outer(tf.c(t), self.p_hat))
 
     def initial_state(self, disc: Discretization | None = None) -> SlabState:
         return self.exact_state(0.0)

@@ -27,7 +27,9 @@ def _wrapped_attributes(functions, methods):
     return out
 
 
-def test_tracer_counts_one_error_evaluation_per_slab(monkeypatch, params):
+def test_tracer_counts_one_error_evaluation_per_chunk(monkeypatch, params):
+    # verification.error_samples counts field_error_norms calls; the samples
+    # of consecutive slabs go through one call per chunk
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from spans import FUNCTIONS, METHODS, Tracer
 
@@ -41,7 +43,10 @@ def test_tracer_counts_one_error_evaluation_per_slab(monkeypatch, params):
     errs = tracer.call("root", ver.trajectory_errors, traj, case)
 
     assert "verification.errors" in {span[0] for span in tracer.spans}
-    assert tracer.stats["verification.error_samples"] == grid.num_slabs
+    # at k = 2 with the L2-in-time norms: left end, interior Gauss-Lobatto
+    # point and 4 Gauss points per slab, and the right end of the last slab
+    samples = grid.num_slabs * 6 + 1
+    assert tracer.stats["verification.error_samples"] == -(-samples // ver._CHUNK)
     after = _wrapped_attributes(FUNCTIONS, METHODS)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -99,9 +100,7 @@ def _per_sample_trajectory_errors(traj, case):
     return out
 
 
-@pytest.mark.parametrize("kind, k, ell, mesh_n", [
-    ("trig", 1, 0, 3), ("trig", 2, 0, 3), ("discrete", 2, 0, 3), ("trig", 2, 1, 2)])
-def test_trajectory_errors_matches_per_sample_loop(kind, k, ell, mesh_n):
+def _check_against_per_sample_loop(kind, k, ell, mesh_n, n_slabs, l2_in_time):
     params = asm.PhysicalParams(eta=16.0) if ell else asm.PhysicalParams()
     disc = Discretization(structured_mesh(mesh_n, mesh_n), ell, params)
     if kind == "trig":
@@ -110,12 +109,29 @@ def test_trajectory_errors_matches_per_sample_loop(kind, k, ell, mesh_n):
     else:
         case = mms.discrete_case(disc, k, temporal="trig", omega=3.0)
         initial = case.initial_state()
-    traj = march(disc, k, TimeGrid(0.5, 3), initial, case.sources())
-    got = ver.trajectory_errors(traj, case)
-    want = _per_sample_trajectory_errors(traj, case)
+    traj = march(disc, k, TimeGrid(0.5, n_slabs), initial, case.sources())
+    got = ver.trajectory_errors(traj, case, l2_in_time=l2_in_time)
+    want = {key: val for key, val in _per_sample_trajectory_errors(traj, case).items()
+            if l2_in_time or not key.endswith("_L2I")}
     assert sorted(got) == sorted(want)
     for key, val in want.items():
         assert abs(got[key] - val) <= max(1e-12 * abs(val), 1e-14), key
+
+
+@pytest.mark.parametrize("kind, k, ell, mesh_n", [
+    ("trig", 1, 0, 3), ("trig", 2, 0, 3), ("discrete", 2, 0, 3), ("trig", 2, 1, 2)])
+def test_trajectory_errors_matches_per_sample_loop(kind, k, ell, mesh_n):
+    _check_against_per_sample_loop(kind, k, ell, mesh_n, n_slabs=3, l2_in_time=True)
+
+
+@pytest.mark.parametrize("l2_in_time", [True, False])
+@pytest.mark.parametrize("n_slabs", [7, 9])
+@pytest.mark.parametrize("kind, k", [("trig", 1), ("trig", 2), ("trig", 3), ("discrete", 2)])
+def test_trajectory_errors_matches_per_sample_loop_across_chunks(kind, k, n_slabs,
+                                                                 l2_in_time):
+    """Slab counts that are no multiple of the evaluation chunk: some chunks
+    end inside a slab, and the right end of the last slab closes a short one."""
+    _check_against_per_sample_loop(kind, k, 0, 2, n_slabs, l2_in_time)
 
 
 # slab counts per k for the temporal orders: the finest level stays above
@@ -235,24 +251,27 @@ def test_profile_values_do_not_outlive_the_call(monkeypatch, params):
 def test_studies_sample_only_where_they_report(monkeypatch, params):
     """The studies report maxima in time only: at k = 2 each slab is sampled
     at its left end and its interior Gauss-Lobatto point, and the last slab of
-    every march also at its right end."""
-    sizes = []
-    original = ver.field_error_norms
+    every march also at its right end, 2 N + 1 samples in all.  The samples
+    are evaluated in chunks of consecutive slabs, none larger than the chunk."""
+    marches = []
+    original_errors, original_norms = ver.trajectory_errors, ver.field_error_norms
+
+    def per_march(*args, **kwargs):
+        marches.append([])
+        return original_errors(*args, **kwargs)
 
     def counting(disc, coeffs, *args, **kwargs):
-        sizes.append(len(coeffs["u"]))
-        return original(disc, coeffs, *args, **kwargs)
+        marches[-1].append(len(coeffs["u"]))
+        return original_norms(disc, coeffs, *args, **kwargs)
 
+    monkeypatch.setattr(ver, "trajectory_errors", per_march)
     monkeypatch.setattr(ver, "field_error_norms", counting)
 
-    def per_march(slab_counts):
-        return [s for n in slab_counts for s in [2] * (n - 1) + [3]]
-
-    ver.temporal_study(params, k=2, ell=0, slab_counts=[2, 4], mesh_n=2)
-    assert sizes == per_march([2, 4])
-    sizes.clear()
+    ver.temporal_study(params, k=2, ell=0, slab_counts=[2, 4, 8], mesh_n=2)
     ver.spatial_study(params, ell=0, mesh_sizes=[2, 3], k=2, n_slabs=2)
-    assert sizes == per_march([2, 2, 4])       # two meshes, then the tau-halving rerun
+    # two meshes, then the tau-halving rerun
+    assert [sum(sizes) for sizes in marches] == [2 * n + 1 for n in (2, 4, 8, 2, 2, 4)]
+    assert all(0 < size <= ver._CHUNK for sizes in marches for size in sizes)
 
 
 # --- projections ------------------------------------------------------------------------
@@ -378,6 +397,24 @@ def test_audit_on_converged_run(disc4, params):
     traj = march(disc4, 2, TimeGrid(0.5, 4), case.initial_state(disc4), case.sources())
     assert ver.mass_conservation_audit(traj, case.sources()) <= 1e-9
     assert _kinematic_consistency(traj) <= 1e-9
+
+
+def test_audit_looks_at_every_slab(disc4, params):
+    """A pressure defect at one Gauss row shows in the audit wherever the
+    slab sits: the first slab, either side of the first chunk boundary of
+    the batched evaluation, and the last slab."""
+    k, n_slabs = 2, 10
+    case = mms.default_mms(params, omega=4.0)
+    sources = case.sources()
+    traj = march(disc4, k, TimeGrid(0.5, n_slabs), case.initial_state(disc4), sources)
+    assert ver.mass_conservation_audit(traj, sources) <= 1e-9
+    boundary = ver._CHUNK // k
+    rng = np.random.default_rng(5)
+    for n in (0, boundary - 1, boundary, n_slabs - 1):
+        p = traj.coeffs["p"].copy()
+        p[n, 1] += 0.1 * rng.standard_normal(p.shape[-1])
+        perturbed = dataclasses.replace(traj, coeffs={**traj.coeffs, "p": p})
+        assert ver.mass_conservation_audit(perturbed, sources) > 1e-3, n
 
 
 def test_audit_negative_control(params):
