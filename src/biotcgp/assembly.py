@@ -280,10 +280,12 @@ def _integrate(space: FunctionSpace, values: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def assemble_load(space: FunctionSpace, source: FieldSource, t: float) -> np.ndarray:
+def assemble_load(space: FunctionSpace, source: FieldSource,
+                  t: float | np.ndarray) -> np.ndarray:
     """Right-hand side vector of a source at time t: the sum of each term's
-    cached load vector times its time factor."""
-    rhs = np.zeros(space.ndofs)
+    cached load vector times its time factor.  At a 1-D array of times, one
+    row per time, (len(t), ndofs)."""
+    rhs = np.zeros(np.shape(t) + (space.ndofs,))
     for (factor, _), load in zip(source.terms, source.term_loads(space)):
-        rhs += float(factor(t)) * load
+        rhs += np.multiply.outer(factor(t), load)
     return rhs

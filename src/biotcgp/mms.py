@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import assembly as asm
 from .linalg import LinearSystem, factor_system, lu_solve
@@ -56,24 +57,10 @@ def trig_factors(omega: float) -> TimeFactors:
 
 def poly_factors(k: int) -> TimeFactors:
     """Degree-k polynomial profiles (reproduced exactly by the cGP(k) scheme)."""
-    ca = [0.4, 0.9, -0.5, 0.25, -0.1][:k + 1]
-    cb = [0.7, -0.6, 0.3, -0.15, 0.05][:k + 1]
-    cc = [0.2, 0.8, -0.35, 0.12, -0.04][:k + 1]
-
-    def poly(coeffs, order):
-        def f(t):
-            out = 0.0
-            for j, cj in enumerate(coeffs):
-                if j >= order:
-                    fac = 1.0
-                    for i in range(order):
-                        fac *= j - i
-                    out = out + cj * fac * t ** (j - order)
-            return out
-        return f
-
-    return TimeFactors(poly(ca, 0), poly(ca, 1), poly(ca, 2),
-                       poly(cb, 0), poly(cb, 1), poly(cc, 0), poly(cc, 1))
+    a = Polynomial([0.4, 0.9, -0.5, 0.25, -0.1][:k + 1])
+    b = Polynomial([0.7, -0.6, 0.3, -0.15, 0.05][:k + 1])
+    c = Polynomial([0.2, 0.8, -0.35, 0.12, -0.04][:k + 1])
+    return TimeFactors(a, a.deriv(), a.deriv(2), b, b.deriv(), c, c.deriv())
 
 
 def _sc(x):

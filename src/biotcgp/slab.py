@@ -82,12 +82,13 @@ class SlabState:
 
 @dataclass
 class SourceSet:
-    """Momentum source f, Darcy source g, and the optional mass-balance source
-    used only by manufactured-solution runs (the physical model has zero)."""
+    """Momentum source f, Darcy source g, and the mass-balance source used
+    only by manufactured-solution runs (the physical model has zero).  A
+    source left out is the empty sum, which loads nothing."""
 
-    f: object | None = None
-    g: object | None = None
-    mass: object | None = None
+    f: asm.FieldSource = field(default_factory=partial(asm.FieldSource, ()))
+    g: asm.FieldSource = field(default_factory=partial(asm.FieldSource, ()))
+    mass: asm.FieldSource = field(default_factory=partial(asm.FieldSource, ()))
 
 
 class Discretization:
@@ -155,8 +156,9 @@ class Discretization:
         mat = self.div_w if matrix is None else matrix
         return (mat.T @ coeffs) / self.mass_p_diag
 
-    def pressure_load(self, source, t: float) -> np.ndarray:
-        """Mass-balance load with its constant-mode component removed.
+    def pressure_load(self, source: asm.FieldSource, t: float | np.ndarray) -> np.ndarray:
+        """Mass-balance load with its constant-mode component removed; at a
+        1-D array of times, one row per time.
 
         The pressure test space is the zero-mean subspace, so the load of the
         constant 1 never acts; removing it here keeps quadrature-level mean
@@ -164,9 +166,9 @@ class Discretization:
         """
         load = asm.assemble_load(self.dgp, source, t)
         nloc = self.dgp.element.dim
-        total = load[0::nloc].sum()           # functional applied to the constant 1
-        area = self.p_volume[0::nloc].sum()   # = |Omega|
-        return load - (total / area) * self.p_volume
+        total = load[..., 0::nloc].sum(axis=-1)   # functional applied to the constant 1
+        area = self.p_volume[0::nloc].sum()       # = |Omega|
+        return load - np.multiply.outer(total / area, self.p_volume)
 
 
 def _apply_slab(dt_weights: np.ndarray, mass_weights: np.ndarray, t_block: sp.spmatrix,
@@ -270,16 +272,13 @@ class SlabOperators:
         return np.concatenate([state.u[self.free], state.v[self.free],
                                state.w[self.free], state.p])
 
-    def _load_stack(self, sources: SourceSet, t: float) -> np.ndarray:
-        disc = self.disc
-        out = np.zeros(self.block_size)
-        if sources.f is not None:
-            out[:self.n_bdm] = asm.assemble_load(disc.bdm, sources.f, t)[self.free]
-        if sources.g is not None:
-            base = 2 * self.n_bdm
-            out[base:base + self.n_bdm] = asm.assemble_load(disc.bdm, sources.g, t)[self.free]
-        if sources.mass is not None:
-            out[3 * self.n_bdm:] = disc.pressure_load(sources.mass, t)
+    def _load_stack(self, sources: SourceSet, times: np.ndarray) -> np.ndarray:
+        """Free-DOF source blocks at each of the times, (len(times), block)."""
+        disc, n = self.disc, self.n_bdm
+        out = np.zeros((len(times), self.block_size))
+        out[:, :n] = asm.assemble_load(disc.bdm, sources.f, times)[:, self.free]
+        out[:, 2 * n:3 * n] = asm.assemble_load(disc.bdm, sources.g, times)[:, self.free]
+        out[:, 3 * n:] = disc.pressure_load(sources.mass, times)
         return out
 
     def rhs(self, state: SlabState, t_left: float, sources: SourceSet) -> np.ndarray:
@@ -287,8 +286,7 @@ class SlabOperators:
         # the left-end value enters through the time derivative only: the G0
         # node-0 basis vanishes at every Gauss node, so theta_mass[:, 0] == 0
         tx0 = self.time_derivative_block @ x0
-        loads = np.array([self._load_stack(sources, t_left + self.tau * s)
-                          for s in self.gl_nodes])
+        loads = self._load_stack(sources, t_left + self.tau * self.gl_nodes)
         nodes = self.tau * self.theta_src @ loads - np.outer(self.theta_dt[:, 0], tx0)
         return np.concatenate([nodes.ravel(), np.zeros(self.k)])
 
@@ -371,7 +369,7 @@ def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
     return Trajectory(grid, k, disc, coeffs, ops.end_weights)
 
 
-def export_snapshots(traj: Trajectory, out_dir: str, stem: str = "snapshot") -> list[str]:
+def export_snapshots(traj: Trajectory, out_dir: str) -> list[str]:
     """Write slab-endpoint snapshots: cell pressures plus the BDM fields at the
     edge midpoints, each evaluated in the edge's first adjacent cell."""
     import os
@@ -386,9 +384,9 @@ def export_snapshots(traj: Trajectory, out_dir: str, stem: str = "snapshot") -> 
     for n in range(traj.grid.num_slabs + 1):
         state = traj.state_at_endpoint(n)
         p_cells = state.p[0::nloc]   # constant modal component per cell
-        mesh_path = os.path.join(out_dir, f"{stem}_{n:04d}.vtk")
+        mesh_path = os.path.join(out_dir, f"snapshot_{n:04d}.vtk")
         write_vtk_mesh(mesh, mesh_path, {"pressure": p_cells})
-        vec_path = os.path.join(out_dir, f"{stem}_{n:04d}_edges.vtk")
+        vec_path = os.path.join(out_dir, f"snapshot_{n:04d}_edges.vtk")
         vectors = {f: np.einsum("eia,ei->ea", table, getattr(state, f)[dofs])
                    for f in ("u", "v", "w")}
         write_vtk_edges(mesh, vec_path, vectors)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import elements as el
 from .mesh import Mesh
-from .time_basis import gauss_legendre_rule, gauss_rule
+from .time_basis import gauss_legendre_rule
 
 __all__ = ["FunctionSpace", "build_space", "interpolate_vector_field",
            "project_scalar_field", "remove_mean"]
@@ -221,8 +221,7 @@ class FunctionSpace:
         if self.family != "BDM":
             raise ValueError("edge traces tabulated for vector spaces only")
         mesh = self.mesh
-        n_pts = (self.quad_degree + 3) // 2
-        rule = gauss_rule(n_pts)
+        rule = gauss_legendre_rule((self.quad_degree + 3) // 2)
         a = mesh.vertices[mesh.edges[:, 0]]
         b = mesh.vertices[mesh.edges[:, 1]]
         pts = a[:, None, :] + rule.nodes[None, :, None] * (b - a)[:, None, :]
@@ -339,12 +338,11 @@ def interpolate_vector_field(space: FunctionSpace, fn) -> np.ndarray:
     return coeffs
 
 
-def project_scalar_field(space: FunctionSpace, fn, quad_degree: int | None = None) -> np.ndarray:
+def project_scalar_field(space: FunctionSpace, fn) -> np.ndarray:
     """Cell-local L2 projection onto the modal basis (diagonal mass)."""
     if space.family != "DGP":
         raise ValueError("scalar projection requires a DGP space")
-    degree = quad_degree if quad_degree is not None else min(space.quad_degree + 4, 12)
-    qp, qw = el.triangle_rule(degree)
+    qp, qw = el.triangle_rule(min(space.quad_degree + 4, 12))
     points = space._physical_points(qp)
     f = np.asarray(fn(points.reshape(-1, 2))).reshape(points.shape[:2])
     vals = space.element.tabulate(qp)                                # (nq, nloc)

@@ -253,12 +253,10 @@ def mass_conservation_audit(traj: Trajectory, sources: SourceSet) -> float:
     der_w = basis_g0.deriv_all(g_nodes) / grid.tau
     gl_w = basis_gl.eval_all(g_nodes)               # (k, k+1)
     qw = bdm.volume.weights
-    if sources.mass is not None:
-        # the load at the N k + 1 distinct Gauss-Lobatto times: the right
-        # node of a slab is the left node of the next
-        loads = np.stack([disc.pressure_load(sources.mass, float(t))
-                          for t in _slab_times(grid, basis_gl.nodes[:-1])])
-        loads /= disc.mass_p_diag
+    # the load at the N k + 1 distinct Gauss-Lobatto times: the right node of
+    # a slab is the left node of the next
+    loads = disc.pressure_load(sources.mass, _slab_times(grid, basis_gl.nodes[:-1]))
+    loads /= disc.mass_p_diag
 
     def at_gauss_rows(table, space, weights, slab_coeffs):
         """(cells, points, c k) values of the field whose slab coefficients
@@ -271,9 +269,8 @@ def mass_conservation_audit(traj: Trajectory, sources: SourceSet) -> float:
         terms = [prm.s0 * at_gauss_rows(dgp.volume.values, dgp, der_w, traj.coeffs["p"][slabs]),
                  prm.alpha * at_gauss_rows(bdm.volume.divs, bdm, der_w, traj.coeffs["u"][slabs]),
                  at_gauss_rows(bdm.volume.divs, bdm, val_w, traj.coeffs["w"][slabs])]
-        if sources.mass is not None:
-            windows = k * np.arange(slabs.start, slabs.stop)[:, None] + np.arange(k + 1)
-            terms.append(-at_gauss_rows(dgp.volume.values, dgp, gl_w, loads[windows]))
+        windows = k * np.arange(slabs.start, slabs.stop)[:, None] + np.arange(k + 1)
+        terms.append(-at_gauss_rows(dgp.volume.values, dgp, gl_w, loads[windows]))
         res = np.sqrt(_integral(qw, sum(terms) ** 2))
         scale = np.max([np.sqrt(_integral(qw, tm * tm)) for tm in terms], axis=0)
         ratio = np.divide(res, scale, out=res.copy(), where=scale > 0.0)
@@ -330,11 +327,9 @@ class StudyResult:
     ones); both h and tau are emitted per level in the CSV.
     """
 
-    kind: str
-    steps: list[float]
+    steps: list[float] = field(default_factory=list)
     h_values: list[float] = field(default_factory=list)
     tau_values: list[float] = field(default_factory=list)
-    meta: dict[str, float | int] = field(default_factory=dict)
     columns: dict[str, list[float]] = field(default_factory=dict)
     extras: dict[str, float] = field(default_factory=dict)
 
@@ -371,8 +366,7 @@ def temporal_study(params: asm.PhysicalParams, k: int, ell: int, slab_counts,
     mesh = structured_mesh(mesh_n, mesh_n)
     disc = Discretization(mesh, ell, params)
     case = discrete_case(disc, k, "trig", omega)
-    result = StudyResult("time", steps=[], meta={"k": k, "ell": ell, "mesh_n": mesh_n,
-                                                 "T": total_time, "omega": omega})
+    result = StudyResult()
     audit_worst = 0.0
     for n_slabs in slab_counts:
         grid = TimeGrid(total_time, int(n_slabs))
@@ -398,8 +392,7 @@ def spatial_study(params: asm.PhysicalParams, ell: int, mesh_sizes, k: int = 2,
     The finest level is re-run with halved tau to verify the temporal error is
     subdominant; the worst relative change is reported in ``extras``.
     """
-    result = StudyResult("space", steps=[], meta={"k": k, "ell": ell, "N": n_slabs,
-                                                  "T": total_time, "omega": omega})
+    result = StudyResult()
     audit_worst = 0.0
     last = None
     for nx in mesh_sizes:
@@ -434,8 +427,7 @@ def spatial_study(params: asm.PhysicalParams, ell: int, mesh_sizes, k: int = 2,
 def projection_study(params: asm.PhysicalParams, ell: int, mesh_sizes,
                      omega: float = 4.0, t_star: float = 0.0) -> StudyResult:
     """Measured orders of the three projection operators on the default fields."""
-    result = StudyResult("projection", steps=[], meta={"ell": ell, "omega": omega,
-                                                       "t": t_star})
+    result = StudyResult()
     for nx in mesh_sizes:
         mesh = structured_mesh(int(nx), int(nx))
         disc = Discretization(mesh, ell, params)

@@ -8,8 +8,9 @@ from biotcgp import assembly as asm, spaces as sps
 from biotcgp.elements import triangle_rule
 from biotcgp.linalg import dense_min_eig_sym
 from biotcgp.mesh import structured_mesh
-from biotcgp.mms import default_mms
+from biotcgp.mms import default_mms, discrete_case
 from biotcgp.slab import Discretization, SlabOperators
+from biotcgp.time_basis import gauss_lobatto_rule
 
 
 # --- physical parameters -----------------------------------------------------
@@ -241,6 +242,25 @@ def test_source_load_follows_time_and_space(mesh2):
         fresh = asm.assemble_load(space, asm.FieldSource([(lambda t: 1.0, profile)]), t)
         assert np.allclose(asm.assemble_load(space, src, t), (np.exp(t) + 1.0) * fresh,
                            rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("temporal", ["trig", "poly"])
+def test_loads_at_an_array_of_times_stack_the_single_time_loads(params, temporal):
+    # one call at an array of times does the arithmetic of one call per time,
+    # row by row: factors that return arrays, zero polynomials and constants
+    disc = Discretization(structured_mesh(2, 2), 0, params)
+    sources = (default_mms(params).sources() if temporal == "trig"
+               else discrete_case(disc, 1, temporal="poly").sources())
+    constant = asm.FieldSource([(lambda t: 1.0, lambda x: np.ones(x.shape[:-1]))])
+    times = 0.1 + 0.25 * gauss_lobatto_rule(3).nodes
+    for space, src in ((disc.bdm, sources.f), (disc.bdm, sources.g),
+                       (disc.dgp, sources.mass), (disc.dgp, constant)):
+        rows = asm.assemble_load(space, src, times)
+        assert rows.shape == (times.size, space.ndofs)
+        assert np.array_equal(rows, np.stack([asm.assemble_load(space, src, t)
+                                              for t in times]))
+    assert np.array_equal(disc.pressure_load(sources.mass, times),
+                          np.stack([disc.pressure_load(sources.mass, t) for t in times]))
 
 
 # --- structural invariants ---------------------------------------------------------------------

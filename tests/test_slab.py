@@ -69,6 +69,11 @@ def test_zero_run_stays_zero(disc4):
     grid = TimeGrid(0.5, 2)
     traj = march(disc4, 1, grid, SlabState.zeros(disc4), SourceSet())
     assert sum(np.abs(traj.coeffs[f]).max() for f in ("u", "v", "w", "p")) == 0.0
+    # a source left out is the empty sum: every block of the stack is zero
+    ops = SlabOperators(disc4, 2, grid.tau)
+    loads = ops._load_stack(SourceSet(), grid.tau * ops.gl_nodes)
+    assert loads.shape == (3, ops.block_size)
+    assert not loads.any()
 
 
 def test_unknown_count_two_cell_mesh(disc1):

@@ -116,6 +116,16 @@ def test_normal_trace_continuity(degree, rng):
         assert np.abs((t0 - t1) @ n).max() <= 1e-11 * max(1.0, np.abs(t0).max())
 
 
+@pytest.mark.parametrize("q", [11, 12])
+def test_edge_traces_at_the_highest_quadrature_degrees(q):
+    # build_space accepts every degree triangle_rule has; the edge rule of
+    # (q + 3) // 2 = 7 points is past the slab-order cap of gauss_rule
+    space = sps.build_space(structured_mesh(2, 2), "BDM", 1, quad_degree=q)
+    tr = space.edge_traces
+    assert tr.points.shape[1] == tr.s_nodes.size == (q + 3) // 2
+    assert abs(tr.s_weights @ tr.s_nodes ** q - 1.0 / (q + 1)) <= 1e-14
+
+
 def test_shared_edge_trace_from_both_cells(mesh1, rng):
     # single interior edge of the 2-cell mesh, 5 sample points
     space = sps.build_space(mesh1, "BDM", 1)
