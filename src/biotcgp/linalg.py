@@ -28,18 +28,25 @@ to MAX_REFINEMENT_STEPS, while the residual it refined from exceeded the
 residual contract, and stops as soon as a step fails to shrink the residual.
 Every solve enforces that contract, so callers can rely
 on the solution quality.
+
+``serial_blas`` runs a block with every loaded OpenBLAS pool on one thread:
+the stage systems are too small for a second BLAS thread to pay, and its
+idle worker keeps spinning on a core the solver needs.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = ["SolverError", "LinearSystem", "lu_factor", "factor_system", "lu_solve",
-           "dense_min_eig_sym"]
+           "dense_min_eig_sym", "serial_blas"]
 
 RESIDUAL_TOL = 1e-10
 ZERO_RHS_TOL = 1e-12
@@ -232,3 +239,44 @@ def dense_min_eig_sym(matrix) -> float:
     """Minimum eigenvalue of the symmetric part of a dense/sparse matrix."""
     a = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
     return float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
+
+
+@cache
+def _openblas_pools() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found once from the shared objects mapped into it.  numpy and
+    scipy wheels each bundle their own, under a prefixed and maybe suffixed
+    name (``scipy_openblas_set_num_threads64_``)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = sorted({path for path in (line.split()[-1] for line in handle)
+                            if path.startswith("/") and "openblas" in path.lower()})
+    except OSError:
+        return ()
+    pools = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
+                get, set_threads = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                pools.append((get, set_threads))
+                break
+    return tuple(pools)
+
+
+@contextmanager
+def serial_blas():
+    """Run the block with every loaded OpenBLAS pool on one thread, then put
+    back the previous counts; a no-op where no OpenBLAS is loaded."""
+    pools = _openblas_pools()
+    previous = [get() for get, _ in pools]
+    try:
+        for _, set_threads in pools:
+            set_threads(1)
+        yield
+    finally:
+        for (_, set_threads), count in zip(pools, previous):
+            set_threads(count)

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly as asm
-from .linalg import LinearSystem, factor_system, lu_factor, lu_solve
+from .linalg import LinearSystem, factor_system, lu_factor, lu_solve, serial_blas
 from .mesh import Mesh, write_vtk_edges, write_vtk_mesh
 from .spaces import build_space, interpolate_vector_field, project_scalar_field, remove_mean
 from .time_basis import gauss_rule, gauss_lobatto_rule, lagrange_basis
@@ -357,15 +357,17 @@ def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
     coeffs = {f: np.zeros((grid.num_slabs, k + 1, nb if f != "p" else npp))
               for f in FIELDS}
     state = initial
-    for n in range(1, grid.num_slabs + 1):
-        rhs = ops.rhs(state, grid.endpoints[n - 1], sources)
-        nodes = ops.solve(rhs)[:k * ops.block_size].reshape(k, ops.block_size)
-        fields = np.split(nodes, np.arange(1, 4) * ops.n_bdm, axis=1)
-        for fname, values in zip(FIELDS, fields):
-            coeffs[fname][n - 1, 0] = getattr(state, fname)
-            coeffs[fname][n - 1, 1:] = values if fname == "p" else disc.bdm.lift(values)
-        state = SlabState(*(np.einsum("i,id->d", ops.end_weights, coeffs[f][n - 1])
-                            for f in FIELDS))
+    # the stage factorizations and solves run on one BLAS thread (linalg module doc)
+    with serial_blas():
+        for n in range(1, grid.num_slabs + 1):
+            rhs = ops.rhs(state, grid.endpoints[n - 1], sources)
+            nodes = ops.solve(rhs)[:k * ops.block_size].reshape(k, ops.block_size)
+            fields = np.split(nodes, np.arange(1, 4) * ops.n_bdm, axis=1)
+            for fname, values in zip(FIELDS, fields):
+                coeffs[fname][n - 1, 0] = getattr(state, fname)
+                coeffs[fname][n - 1, 1:] = values if fname == "p" else disc.bdm.lift(values)
+            state = SlabState(*(np.einsum("i,id->d", ops.end_weights, coeffs[f][n - 1])
+                                for f in FIELDS))
     return Trajectory(grid, k, disc, coeffs, ops.end_weights)
 
 

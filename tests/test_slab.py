@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from biotcgp import mms
+from biotcgp import linalg, mms
 from biotcgp import slab
 from biotcgp import spaces as sps
 from biotcgp.assembly import PhysicalParams
@@ -397,6 +397,63 @@ def test_march_determinism(disc4):
     t2 = march(disc4, 1, grid, case.initial_state(disc4), case.sources())
     for f in ("u", "v", "w", "p"):
         assert np.array_equal(t1.coeffs[f], t2.coeffs[f])
+
+
+# --- BLAS threads -------------------------------------------------------------------
+
+def _threads(pools):
+    return [get() for get, _ in pools]
+
+
+@pytest.fixture()
+def blas_pools():
+    """The loaded OpenBLAS pools, each set to 2 threads for the test and put
+    back to the caller's count afterwards."""
+    pools = linalg._openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS pool is loaded")
+    before = _threads(pools)
+    for _, set_threads in pools:
+        set_threads(2)
+    yield pools
+    for (_, set_threads), count in zip(pools, before):
+        set_threads(count)
+
+
+def test_march_runs_on_one_blas_thread(disc4, monkeypatch, blas_pools):
+    seen = []
+    solve = slab.GaussStages.solve
+
+    def recording(stages, rhs):
+        seen.append(_threads(blas_pools))
+        return solve(stages, rhs)
+    monkeypatch.setattr(slab.GaussStages, "solve", recording)
+    case = mms.default_mms(disc4.params)
+    march(disc4, 2, TimeGrid(0.5, 2), case.initial_state(disc4), case.sources())
+    assert seen and all(counts == [1] * len(blas_pools) for counts in seen)
+    assert _threads(blas_pools) == [2] * len(blas_pools)
+
+    def failing(ops, rhs):
+        raise linalg.SolverError("slab solve failed")
+    monkeypatch.setattr(SlabOperators, "solve", failing)
+    with pytest.raises(linalg.SolverError):
+        march(disc4, 2, TimeGrid(0.5, 2), case.initial_state(disc4), case.sources())
+    assert _threads(blas_pools) == [2] * len(blas_pools)
+
+
+def test_march_independent_of_the_callers_blas_threads(params, blas_pools):
+    # the stage systems of a 12x12 mesh at k = 2 are large enough for
+    # OpenBLAS to split its kernels, which reorders their sums
+    disc = Discretization(structured_mesh(12, 12), 0, params)
+    case = mms.default_mms(params)
+    runs = []
+    for count in (1, 2):
+        for _, set_threads in blas_pools:
+            set_threads(count)
+        runs.append(march(disc, 2, TimeGrid(0.5, 2), case.initial_state(disc),
+                          case.sources()))
+    for f in ("u", "v", "w", "p"):
+        assert np.array_equal(runs[0].coeffs[f], runs[1].coeffs[f])
 
 
 def test_snapshot_export(tmp_path, disc4):

@@ -461,6 +461,19 @@ def test_temporal_study_shape(params):
     assert res.extras["mass_audit"] <= 1e-9
 
 
+def test_temporal_study_builds_its_sources_once(params, monkeypatch):
+    # the levels share one Discretization, so one SourceSet serves them all
+    calls = []
+    sources = mms.DiscreteCase.sources
+
+    def counting(case):
+        calls.append(case)
+        return sources(case)
+    monkeypatch.setattr(mms.DiscreteCase, "sources", counting)
+    ver.temporal_study(params, k=1, ell=0, slab_counts=[2, 4, 8], mesh_n=2)
+    assert len(calls) == 1
+
+
 def test_spatial_study_shape(params):
     res = ver.spatial_study(params, ell=0, mesh_sizes=[2, 4], k=1, n_slabs=2,
                             omega=2.0, tau_check=False)
