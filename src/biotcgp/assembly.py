@@ -5,6 +5,8 @@ All matrices are assembled over the full DOF sets in CSR form with sorted,
 duplicate-free columns; boundary constraints are applied by the callers via
 free-DOF restriction.  Facet sums run over every edge, boundary edges using
 the one-sided average/jump so tangential Dirichlet data is enforced weakly.
+Every cell and edge integral is one batched matmul over the flattened
+(component, point) axis of the tabulated data (``_gram``, ``_moments``).
 """
 
 from __future__ import annotations
@@ -104,19 +106,55 @@ class FieldSource:
         return self._loads
 
 
-# --- matrix assembly -----------------------------------------------------------
+# --- contractions and matrix assembly ------------------------------------------
 
-def _scatter(space_rows: FunctionSpace, space_cols: FunctionSpace,
-             element_matrices: np.ndarray) -> sp.csr_matrix:
-    nd_r = element_matrices.shape[1]
-    nd_c = element_matrices.shape[2]
-    rows = np.repeat(space_rows.cell_dofs, nd_c, axis=1).ravel()
-    cols = np.tile(space_cols.cell_dofs, (1, nd_r)).ravel()
-    mat = sp.coo_matrix((element_matrices.ravel(), (rows, cols)),
-                        shape=(space_rows.ndofs, space_cols.ndofs)).tocsr()
+def _flat(table: np.ndarray) -> np.ndarray:
+    """(n, nq, nd, *comp) -> (n, comp x nq, nd): the components and points
+    flattened into one contraction axis, the basis index last.  The tables of
+    ``FunctionSpace._piola`` keep the basis index innermost in memory and the
+    point index next, so for their values this is a view, not a copy."""
+    t = table.transpose(0, *range(3, table.ndim), 1, 2)
+    return t.reshape(len(t), -1, t.shape[-1])
+
+
+def _gram(weights: np.ndarray, left: np.ndarray,
+          right: np.ndarray | None = None) -> np.ndarray:
+    """Sum_q w[c,q] left[c,q,i,...] . right[c,q,j,...] per cell or edge, (n, i, j).
+
+    ``left`` and ``right`` are (n, nq, nd, *comp) tables, ``right`` defaults to
+    ``left``; the sum over points and components is one batched matmul over
+    the ``_flat`` axis.
+    """
+    weighted = left * weights.reshape(weights.shape + (1,) * (left.ndim - 2))
+    return np.swapaxes(_flat(weighted), 1, 2) @ _flat(left if right is None else right)
+
+
+def _moments(weights: np.ndarray, field: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Sum_q w[c,q] field[c,q,...] . basis[c,q,i,...] per cell or edge, (n, i):
+    ``_gram`` of a field (n, nq, *comp) taken as a one-function table."""
+    return _gram(weights, field[:, :, None], basis)[:, 0]
+
+
+def _scatter(shape: tuple[int, int], *blocks) -> sp.csr_matrix:
+    """Sum of local matrices as one CSR matrix; each block is a triple (row
+    dofs (n, r), column dofs (n, c), local matrices (n, r, c))."""
+    rows = np.concatenate([np.broadcast_to(r[:, :, None], a.shape).ravel()
+                           for r, _, a in blocks])
+    cols = np.concatenate([np.broadcast_to(c[:, None, :], a.shape).ravel()
+                           for _, c, a in blocks])
+    vals = np.concatenate([a.ravel() for *_, a in blocks])
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
     return mat
+
+
+def _scatter_vector(ndofs: int, *blocks) -> np.ndarray:
+    """Sum of local vectors; each block is (dofs (n, r), local vectors (n, r))."""
+    out = np.zeros(ndofs)
+    for dofs, local in blocks:
+        np.add.at(out, dofs, local)
+    return out
 
 
 def assemble_mass(space: FunctionSpace, weight) -> sp.csr_matrix:
@@ -125,31 +163,35 @@ def assemble_mass(space: FunctionSpace, weight) -> sp.csr_matrix:
     if np.isscalar(weight):
         if weight <= 0:
             raise ValueError("mass weight must be positive")
-        if space.family == "DGP":
-            local = weight * np.einsum("cq,cqi,cqj->cij", tab.weights, tab.values, tab.values)
-        else:
-            local = weight * np.einsum("cq,cqia,cqja->cij", tab.weights, tab.values, tab.values)
+        local = weight * _gram(tab.weights, tab.values)
     else:
         w = np.asarray(weight, dtype=float)
         if w.shape != (2, 2) or not _spd_2x2(w):
             raise ValueError("tensor mass weight must be symmetric positive definite")
         if space.family != "BDM":
             raise ValueError("tensor weights require a vector space")
-        local = np.einsum("cq,cqia,ab,cqjb->cij", tab.weights, tab.values, w, tab.values)
-    return _scatter(space, space, local)
+        local = _gram(tab.weights, tab.values, tab.values @ w.T)
+    return _scatter((space.ndofs, space.ndofs), (space.cell_dofs, space.cell_dofs, local))
 
 
 def assemble_div_coupling(space_from: FunctionSpace, space_p: FunctionSpace,
                           coefficient: float) -> sp.csr_matrix:
     """B[i, j] = coefficient * (p_j, div v_i)."""
     tv, tp = space_from.volume, space_p.volume
-    local = coefficient * np.einsum("cq,cqi,cqj->cij", tv.weights, tv.divs, tp.values)
-    return _scatter(space_from, space_p, local)
+    local = coefficient * _gram(tv.weights, tv.divs, tp.values)
+    return _scatter((space_from.ndofs, space_p.ndofs),
+                    (space_from.cell_dofs, space_p.cell_dofs, local))
 
 
 def _tang(values: np.ndarray, normals: np.ndarray) -> np.ndarray:
     vn = np.einsum("eqia,ea->eqi", values, normals)
     return values - vn[..., None] * normals[:, None, None, :]
+
+
+def _normal_part(strains: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """eps n at edge points: strains (e, nq, [nd,] 2, 2), normals (e, 2)."""
+    n = normals.reshape(normals.shape[:1] + (1,) * (strains.ndim - 3) + (2, 1))
+    return (strains @ n)[..., 0]
 
 
 def assemble_elasticity(space: FunctionSpace, mu: float, lam: float,
@@ -160,52 +202,39 @@ def assemble_elasticity(space: FunctionSpace, mu: float, lam: float,
         raise ValueError("penalty parameter eta must be positive")
     tab = space.volume
     eps = 0.5 * (tab.grads + np.swapaxes(tab.grads, -1, -2))
-    local = (2.0 * mu * np.einsum("cq,cqiab,cqjab->cij", tab.weights, eps, eps)
-             + lam * np.einsum("cq,cqi,cqj->cij", tab.weights, tab.divs, tab.divs))
-    mat = _scatter(space, space, local)
+    blocks = [(space.cell_dofs, space.cell_dofs,
+               2.0 * mu * _gram(tab.weights, eps) + lam * _gram(tab.weights, tab.divs))]
 
     mesh = space.mesh
     tr = space.edge_traces
-    interior = tr.interior
-    boundary = np.flatnonzero(mesh.boundary_edge)
-    nd = space.element.dim
 
-    def edge_matrix(edge_ids, avg_eps_n, jump_tang, union_dofs):
+    def edge_block(edge_ids, avg_eps_n, jump_tang, union_dofs):
         h = mesh.h_edge[edge_ids]
         wq = h[:, None] * tr.s_weights[None, :]
-        cons = np.einsum("eq,eqia,eqja->eij", wq, avg_eps_n, jump_tang)
-        pen = np.einsum("e,eq,eqia,eqja->eij", 1.0 / h, wq, jump_tang, jump_tang)
-        local_e = -2.0 * mu * (cons + np.swapaxes(cons, 1, 2)) + 2.0 * mu * eta * pen
-        nu = union_dofs.shape[1]
-        rows = np.repeat(union_dofs, nu, axis=1).ravel()
-        cols = np.tile(union_dofs, (1, nu)).ravel()
-        return sp.coo_matrix((local_e.ravel(), (rows, cols)),
-                             shape=(space.ndofs, space.ndofs)).tocsr()
+        cons = _gram(wq, avg_eps_n, jump_tang)
+        pen = _gram(wq / h[:, None], jump_tang)
+        return (union_dofs, union_dofs,
+                -2.0 * mu * (cons + np.swapaxes(cons, 1, 2)) + 2.0 * mu * eta * pen)
 
+    interior = tr.interior
     if interior.size:
-        c0 = mesh.edge_cells[interior, 0]
-        c1 = mesh.edge_cells[interior, 1]
         n = tr.normals[interior]
-        nd_union = 2 * nd
-        avg = np.zeros(tr.values0[interior].shape[:2] + (nd_union, 2))
-        jump = np.zeros_like(avg)
-        avg[:, :, :nd, :] = 0.5 * np.einsum("eqiab,eb->eqia", tr.strains0[interior], n)
-        avg[:, :, nd:, :] = 0.5 * np.einsum("eqiab,eb->eqia", tr.strains1, n)
-        jump[:, :, :nd, :] = _tang(tr.values0[interior], n)
-        jump[:, :, nd:, :] = -_tang(tr.values1, n)
-        union = np.concatenate([space.cell_dofs[c0], space.cell_dofs[c1]], axis=1)
-        mat = mat + edge_matrix(interior, avg, jump, union)
+        avg = 0.5 * np.concatenate([_normal_part(tr.strains0[interior], n),
+                                    _normal_part(tr.strains1, n)], axis=2)
+        jump = np.concatenate([_tang(tr.values0[interior], n), -_tang(tr.values1, n)],
+                              axis=2)
+        cells = mesh.edge_cells[interior]
+        union = np.concatenate([space.cell_dofs[cells[:, 0]], space.cell_dofs[cells[:, 1]]],
+                               axis=1)
+        blocks.append(edge_block(interior, avg, jump, union))
 
+    boundary = np.flatnonzero(mesh.boundary_edge)
     if boundary.size:
-        c0 = mesh.edge_cells[boundary, 0]
         n = tr.normals[boundary]
-        avg = np.einsum("eqiab,eb->eqia", tr.strains0[boundary], n)
-        jump = _tang(tr.values0[boundary], n)
-        mat = mat + edge_matrix(boundary, avg, jump, space.cell_dofs[c0])
-
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+        blocks.append(edge_block(boundary, _normal_part(tr.strains0[boundary], n),
+                                 _tang(tr.values0[boundary], n),
+                                 space.cell_dofs[mesh.edge_cells[boundary, 0]]))
+    return _scatter((space.ndofs, space.ndofs), *blocks)
 
 
 def assemble_elasticity_rhs(space: FunctionSpace, value_fn, grad_fn, mu: float,
@@ -221,10 +250,8 @@ def assemble_elasticity_rhs(space: FunctionSpace, value_fn, grad_fn, mu: float,
     g = np.asarray(grad_fn(tab.points.reshape(-1, 2))).reshape(tab.points.shape[:2] + (2, 2))
     eps_y = 0.5 * (g + np.swapaxes(g, -1, -2))
     div_y = np.trace(g, axis1=-2, axis2=-1)
-    local = (2.0 * mu * np.einsum("cq,cqab,cqiab->ci", tab.weights, eps_y, eps)
-             + lam * np.einsum("cq,cq,cqi->ci", tab.weights, div_y, tab.divs))
-    rhs = np.zeros(space.ndofs)
-    np.add.at(rhs, space.cell_dofs, local)
+    blocks = [(space.cell_dofs, 2.0 * mu * _moments(tab.weights, eps_y, eps)
+               + lam * _moments(tab.weights, div_y, tab.divs))]
 
     mesh = space.mesh
     tr = space.edge_traces
@@ -236,48 +263,37 @@ def assemble_elasticity_rhs(space: FunctionSpace, value_fn, grad_fn, mu: float,
         return y, 0.5 * (gy + np.swapaxes(gy, -1, -2))
 
     interior = tr.interior
-    boundary = np.flatnonzero(mesh.boundary_edge)
-
     if interior.size:
         n = tr.normals[interior]
         _, eps_ex = exact_on(interior)
-        avg_y = np.einsum("eqab,eb->eqa", eps_ex, n)       # single-valued for smooth y
+        avg_y = _normal_part(eps_ex, n)                    # single-valued for smooth y
         wq = mesh.h_edge[interior][:, None] * tr.s_weights[None, :]
-        for cells, vals, sign in ((mesh.edge_cells[interior, 0], tr.values0[interior], 1.0),
-                                  (mesh.edge_cells[interior, 1], tr.values1, -1.0)):
-            jump_i = sign * _tang(vals, n)
-            contrib = -2.0 * mu * np.einsum("eq,eqa,eqia->ei", wq, avg_y, jump_i)
-            np.add.at(rhs, space.cell_dofs[cells], contrib)
+        for cells, vals, sign in ((mesh.edge_cells[interior, 0], tr.values0[interior], -1.0),
+                                  (mesh.edge_cells[interior, 1], tr.values1, 1.0)):
+            blocks.append((space.cell_dofs[cells],
+                           sign * 2.0 * mu * _moments(wq, avg_y, _tang(vals, n))))
 
+    boundary = np.flatnonzero(mesh.boundary_edge)
     if boundary.size:
-        c0 = mesh.edge_cells[boundary, 0]
         n = tr.normals[boundary]
         y, eps_ex = exact_on(boundary)
-        avg_y = np.einsum("eqab,eb->eqa", eps_ex, n)
         yn = np.einsum("eqa,ea->eq", y, n)
         tang_y = y - yn[..., None] * n[:, None, :]
-        avg_i = np.einsum("eqiab,eb->eqia", tr.strains0[boundary], n)
-        jump_i = _tang(tr.values0[boundary], n)
         h = mesh.h_edge[boundary]
         wq = h[:, None] * tr.s_weights[None, :]
-        contrib = (-2.0 * mu * np.einsum("eq,eqa,eqia->ei", wq, avg_y, jump_i)
-                   - 2.0 * mu * np.einsum("eq,eqia,eqa->ei", wq, avg_i, tang_y)
-                   + 2.0 * mu * eta * np.einsum("e,eq,eqa,eqia->ei", 1.0 / h, wq,
-                                                tang_y, jump_i))
-        np.add.at(rhs, space.cell_dofs[c0], contrib)
-    return rhs
+        jump_i = _tang(tr.values0[boundary], n)
+        avg_i = _normal_part(tr.strains0[boundary], n)
+        flux = -2.0 * mu * (_normal_part(eps_ex, n) - eta / h[:, None, None] * tang_y)
+        blocks.append((space.cell_dofs[mesh.edge_cells[boundary, 0]],
+                       _moments(wq, flux, jump_i) - 2.0 * mu * _moments(wq, tang_y, avg_i)))
+    return _scatter_vector(space.ndofs, *blocks)
 
 
 def _integrate(space: FunctionSpace, values: np.ndarray) -> np.ndarray:
     """Load vector of a field given by its values at the volume quadrature points."""
     tab = space.volume
-    if space.family == "DGP":
-        local = np.einsum("cq,cq,cqi->ci", tab.weights, values, tab.values)
-    else:
-        local = np.einsum("cq,cqa,cqia->ci", tab.weights, values, tab.values)
-    rhs = np.zeros(space.ndofs)
-    np.add.at(rhs, space.cell_dofs, local)
-    return rhs
+    return _scatter_vector(space.ndofs,
+                           (space.cell_dofs, _moments(tab.weights, values, tab.values)))
 
 
 def assemble_load(space: FunctionSpace, source: FieldSource,

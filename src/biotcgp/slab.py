@@ -150,6 +150,35 @@ class Discretization:
             raise AssertionError("modal pressure mass matrix is not diagonal")
         return diag
 
+    @cached_property
+    def time_derivative_block(self) -> sp.csr_matrix:
+        """T of the slab system T y' + S y = F on the free DOFs, unknowns and
+        rows ordered (u, v, w, p).  It and ``stationary_block`` depend on
+        neither the slab length nor the order, so every slab operator of this
+        discretization shares them."""
+        p = self.params
+        free = self.bdm.free
+        mf = self.mass_bdm[np.ix_(free, free)]
+        baf = self.div_u_alpha[free, :]
+        return sp.bmat([
+            [None, p.rho_bar * mf, p.rho_f * mf, None],
+            [mf, None, None, None],
+            [None, p.rho_f * mf, p.rho_w * mf, None],
+            [baf.T, None, None, p.s0 * self.mass_p]], format="csr")
+
+    @cached_property
+    def stationary_block(self) -> sp.csr_matrix:
+        """S of the slab system, in the layout of ``time_derivative_block``."""
+        free = self.bdm.free
+        af, mf, mkf = (m[np.ix_(free, free)]
+                       for m in (self.elasticity, self.mass_bdm, self.mass_kinv))
+        b1f, baf = self.div_w[free, :], self.div_u_alpha[free, :]
+        return sp.bmat([
+            [af, None, None, -baf],
+            [None, -mf, None, None],
+            [None, None, mkf, -b1f],
+            [None, None, b1f.T, None]], format="csr")
+
     def div_coefficients(self, coeffs: np.ndarray, matrix: sp.csr_matrix | None = None) -> np.ndarray:
         """Coefficients of div(field) in the pressure space (exact when the
         pairing is div-compatible)."""
@@ -219,30 +248,10 @@ class SlabOperators:
         self.disc = disc
         self.k = k
         self.tau = float(tau)
-        p = disc.params
-        free = disc.bdm.free
-        self.free = free
-        self.n_bdm = free.size
+        self.free = disc.bdm.free
+        self.n_bdm = self.free.size
         self.n_p = disc.dgp.ndofs
         self.block_size = 3 * self.n_bdm + self.n_p
-
-        mf = disc.mass_bdm[np.ix_(free, free)]
-        af = disc.elasticity[np.ix_(free, free)]
-        mkf = disc.mass_kinv[np.ix_(free, free)]
-        b1f = disc.div_w[free, :]
-        baf = disc.div_u_alpha[free, :]
-        mp = disc.mass_p
-
-        self.time_derivative_block = sp.bmat([
-            [None, p.rho_bar * mf, p.rho_f * mf, None],
-            [mf, None, None, None],
-            [None, p.rho_f * mf, p.rho_w * mf, None],
-            [baf.T, None, None, p.s0 * mp]], format="csr")
-        self.stationary_block = sp.bmat([
-            [af, None, None, -baf],
-            [None, -mf, None, None],
-            [None, None, mkf, -b1f],
-            [None, None, b1f.T, None]], format="csr")
 
         g = gauss_rule(k)
         basis_g0 = lagrange_basis("G0", k)
@@ -258,7 +267,7 @@ class SlabOperators:
         # assembled; the matvec and the stage solver hold these, not self, so
         # no cycle keeps the operators and their LUs alive
         self._kronecker = (self.theta_dt[:, 1:], self.theta_mass[:, 1:],
-                           self.time_derivative_block, self.stationary_block, self.tau)
+                           disc.time_derivative_block, disc.stationary_block, self.tau)
         n = k * self.block_size
         self.inner_matrix = spla.LinearOperator(
             (n, n), matvec=partial(_apply_slab, *self._kronecker), dtype=float)
@@ -285,7 +294,7 @@ class SlabOperators:
         x0 = self.restrict_state(state)
         # the left-end value enters through the time derivative only: the G0
         # node-0 basis vanishes at every Gauss node, so theta_mass[:, 0] == 0
-        tx0 = self.time_derivative_block @ x0
+        tx0 = self.disc.time_derivative_block @ x0
         loads = self._load_stack(sources, t_left + self.tau * self.gl_nodes)
         nodes = self.tau * self.theta_src @ loads - np.outer(self.theta_dt[:, 0], tx0)
         return np.concatenate([nodes.ravel(), np.zeros(self.k)])

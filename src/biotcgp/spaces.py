@@ -132,9 +132,11 @@ class FunctionSpace:
             cell_dofs[:, 3 * npe + m] = interior_offset + np.arange(nc) * ni + m
         self.cell_dofs = cell_dofs
 
-        # rows of T: global functionals applied to Piola-mapped monomials
+        # rows of T: global functionals applied to Piola-mapped monomials; the
+        # normal part of B m / det is m . (B^T n) / det
         exps = elem.exponents
         spt = elem.edge_points
+        b_t = np.swapaxes(self.cell_matrix, 1, 2)
         t = np.empty((nc, nloc, nloc))
         for le in range(3):
             eids = mesh.cell_edges[:, le]
@@ -142,30 +144,35 @@ class FunctionSpace:
             bv = mesh.vertices[mesh.edges[eids, 1]]
             normals = mesh.edge_normals[eids]              # global orientation
             pts = a[:, None, :] + spt[None, :, None] * (bv - a)[:, None, :]
-            ref = np.einsum("cab,cqb->cqa", self.cell_inverse, pts - self.cell_origin[:, None, :])
+            ref = (pts - self.cell_origin[:, None, :]) @ np.swapaxes(self.cell_inverse, 1, 2)
             monos = el.eval_vector_monomials(exps, ref)    # (2nm, nc, npe, 2)
-            phys = np.einsum("cab,mcqb->mcqa", self.cell_matrix, monos) / self.cell_det[None, :, None, None]
-            t[:, le * npe:(le + 1) * npe, :] = np.einsum("mcqa,ca->cqm", phys, normals)
+            bn = (b_t @ normals[:, :, None]) / self.cell_det[:, None, None]   # (nc, 2, 1)
+            t[:, le * npe:(le + 1) * npe, :] = np.moveaxis((monos @ bn)[..., 0], 0, -1)
         if ni:
             qp, qw = el.triangle_rule(max(self.quad_degree, 2 * self.degree + 2))
-            monos = el.eval_vector_monomials(exps, qp)     # (2nm, nq, 2)
-            phys = np.einsum("cab,mqb->mcqa", self.cell_matrix, monos) / self.cell_det[None, :, None, None]
-            # interior moments normalized by cell area for uniform conditioning
-            area = 0.5 * self.cell_det
-            w = self.cell_det[:, None] * qw[None, :] / area[:, None]
-            t[:, 3 * npe + 0, :] = np.einsum("cq,mcq->cm", w, phys[..., 0])
-            t[:, 3 * npe + 1, :] = np.einsum("cq,mcq->cm", w, phys[..., 1])
-            curl = self._bubble_curl_physical(qp)          # (nc, nq, 2)
-            t[:, 3 * npe + 2, :] = np.einsum("cq,mcqa,cqa->cm", w, phys, curl)
+            monos = np.moveaxis(el.eval_vector_monomials(exps, qp), 0, -1)   # (nq, 2, 2nm)
+            phys = (self.cell_matrix[:, None] @ monos) / self.cell_det[:, None, None, None]
+            t[:, 3 * npe:, :] = self._interior_tests(qp, qw) @ phys.reshape(nc, -1, nloc)
         # dual coefficients: basis_i = sum_m dof_transform[c, m, i] piola(mono_m)
         self.dof_transform = np.linalg.inv(t)
+
+    def _interior_tests(self, ref_points: np.ndarray, ref_weights: np.ndarray) -> np.ndarray:
+        """Weighted test fields of the BDM_2 interior moments at the points of a
+        reference rule, (nc, 3, nq x 2): e_x, e_y and the curl of the cubic
+        bubble, each moment normalized by the cell area det / 2 for uniform
+        conditioning."""
+        nc, nq = self.mesh.num_cells, len(ref_weights)
+        unit = np.broadcast_to(np.eye(2)[None, :, None, :], (nc, 2, nq, 2))
+        curl = self._bubble_curl_physical(ref_points)[:, None]          # (nc, 1, nq, 2)
+        tests = np.concatenate([unit, curl], axis=1) * (2.0 * ref_weights)[:, None]
+        return tests.reshape(nc, 3, -1)
 
     def _bubble_curl_physical(self, ref_points: np.ndarray) -> np.ndarray:
         """curl of the physical cubic bubble at reference points; (nc, nq, 2)."""
         lam = np.stack([1.0 - ref_points[:, 0] - ref_points[:, 1],
                         ref_points[:, 0], ref_points[:, 1]])          # (3, nq)
         grad_ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])   # (3, 2)
-        grad_lam = np.einsum("ia,cab->cib", grad_ref, self.cell_inverse)  # (nc, 3, 2)
+        grad_lam = grad_ref @ self.cell_inverse                        # (nc, 3, 2)
         grad_b = (grad_lam[:, 0, None, :] * (lam[1] * lam[2])[None, :, None]
                   + grad_lam[:, 1, None, :] * (lam[0] * lam[2])[None, :, None]
                   + grad_lam[:, 2, None, :] * (lam[0] * lam[1])[None, :, None])
@@ -175,7 +182,7 @@ class FunctionSpace:
 
     def _physical_points(self, ref_points: np.ndarray) -> np.ndarray:
         """Images of shared reference points on every cell; (nc, nq, 2)."""
-        return np.einsum("cab,qb->cqa", self.cell_matrix, ref_points) + self.cell_origin[:, None, :]
+        return ref_points @ np.swapaxes(self.cell_matrix, 1, 2) + self.cell_origin[:, None, :]
 
     def _piola(self, cells: np.ndarray, ref_points: np.ndarray, order: int) -> list:
         """Piola-mapped BDM basis data of ``cells`` at reference points, which
@@ -255,8 +262,8 @@ class FunctionSpace:
         Returns values (n, nq, nd, [2]) and optionally gradients.
         """
         cells = np.asarray(cells)
-        ref = np.einsum("nab,nqb->nqa", self.cell_inverse[cells],
-                        points - self.cell_origin[cells][:, None, :])
+        ref = ((points - self.cell_origin[cells][:, None, :])
+               @ np.swapaxes(self.cell_inverse[cells], 1, 2))
         if self.family == "DGP":
             vals = self.element.tabulate(ref)
             return (vals, None) if grads else vals
@@ -317,7 +324,7 @@ def interpolate_vector_field(space: FunctionSpace, fn) -> np.ndarray:
     vn = np.einsum("eqa,ea->eq", vals, mesh.edge_normals)
     # L2(edge) projection of v.n onto P_r in the edge parameter, then nodal values
     powers = s_dense[None, :] ** np.arange(r + 1)[:, None]          # (r+1, nq)
-    moments = np.einsum("q,iq,eq->ei", w_dense, powers, vn)
+    moments = vn @ (w_dense * powers).T
     gram = 1.0 / (np.arange(r + 1)[:, None] + np.arange(r + 1)[None, :] + 1.0)
     trace_coeff = np.linalg.solve(gram, moments.T).T                 # (ne, r+1)
     nodal = trace_coeff @ (space.element.edge_points[None, :] ** np.arange(r + 1)[:, None])
@@ -327,14 +334,8 @@ def interpolate_vector_field(space: FunctionSpace, fn) -> np.ndarray:
     if ni:
         qp, qw = el.triangle_rule(min(space.quad_degree + 4, 12))
         points = space._physical_points(qp)
-        area = 0.5 * space.cell_det
-        w = space.cell_det[:, None] * qw[None, :] / area[:, None]
-        v = np.asarray(fn(points.reshape(-1, 2))).reshape(points.shape)
-        base = mesh.num_edges * npe
-        coeffs[base + 0::ni] = np.einsum("cq,cq->c", w, v[..., 0])
-        coeffs[base + 1::ni] = np.einsum("cq,cq->c", w, v[..., 1])
-        curl = space._bubble_curl_physical(qp)
-        coeffs[base + 2::ni] = np.einsum("cq,cqa,cqa->c", w, v, curl)
+        v = np.asarray(fn(points.reshape(-1, 2))).reshape(mesh.num_cells, -1, 1)
+        coeffs[mesh.num_edges * npe:] = (space._interior_tests(qp, qw) @ v).reshape(-1)
     return coeffs
 
 
@@ -347,7 +348,7 @@ def project_scalar_field(space: FunctionSpace, fn) -> np.ndarray:
     f = np.asarray(fn(points.reshape(-1, 2))).reshape(points.shape[:2])
     vals = space.element.tabulate(qp)                                # (nq, nloc)
     # physical cell mass is diag(cell area) for the scaled modal basis
-    return 2.0 * np.einsum("q,cq,qi->ci", qw, f, vals).reshape(-1)
+    return 2.0 * ((f * qw) @ vals).reshape(-1)
 
 
 def remove_mean(space: FunctionSpace, coeffs: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from biotcgp.assembly import PhysicalParams
-from biotcgp.mesh import structured_mesh
+from biotcgp.mesh import _connect, structured_mesh
 
 SEED = 20260808
 
@@ -37,6 +37,22 @@ def mesh2():
 @pytest.fixture(scope="session")
 def mesh1():
     return structured_mesh(1, 1)
+
+
+@pytest.fixture(scope="session")
+def perturbed_mesh():
+    """structured_mesh(3, 3) with every interior vertex moved by at most 0.2 h,
+    so no two cells are congruent and B^-1 differs from its transpose."""
+    mesh = structured_mesh(3, 3)
+    rng = np.random.default_rng(7)
+    verts = mesh.vertices.copy()
+    inner = np.flatnonzero(np.all((verts > 0.0) & (verts < 1.0), axis=1))
+    radius = 0.2 * rng.random(inner.size) / 3.0
+    angle = 2.0 * np.pi * rng.random(inner.size)
+    verts[inner] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    moved = _connect(verts, mesh.cells)
+    moved.validate()
+    return moved
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from biotcgp.linalg import dense_min_eig_sym
 from biotcgp.mesh import structured_mesh
 from biotcgp.mms import default_mms, discrete_case
 from biotcgp.slab import Discretization, SlabOperators
-from biotcgp.time_basis import gauss_lobatto_rule
+from biotcgp.time_basis import gauss_legendre_rule, gauss_lobatto_rule
 
 
 # --- physical parameters -----------------------------------------------------
@@ -39,7 +39,7 @@ def test_degenerate_fluid_density_allowed():
     p = asm.PhysicalParams(rho_f=0.0, rho_w=1.0)
     ops = SlabOperators(Discretization(structured_mesh(1, 1), 0, p), 1, 0.1)
     n = ops.n_bdm
-    block = ops.time_derivative_block
+    block = ops.disc.time_derivative_block
     assert abs(block[:n, 2 * n:3 * n]).max() == 0.0      # no w in the momentum row
     assert abs(block[2 * n:3 * n, n:2 * n]).max() == 0.0  # no v in the Darcy row
 
@@ -168,12 +168,12 @@ def test_zero_coefficient_zero_matrix(mesh2):
 
 def _inertia_block(params):
     """The (v, w) inertia block the slab solver uses, on the free DOFs: rows
-    {0, 2} x columns {1, 2} of ``SlabOperators.time_derivative_block``."""
+    {0, 2} x columns {1, 2} of ``Discretization.time_derivative_block``."""
     ops = SlabOperators(Discretization(structured_mesh(2, 2), 0, params), 1, 0.1)
     n = ops.n_bdm
     rows = np.r_[0:n, 2 * n:3 * n]
     cols = np.r_[n:3 * n]
-    return ops.time_derivative_block[rows][:, cols], n
+    return ops.disc.time_derivative_block[rows][:, cols], n
 
 
 def test_density_block_diagonal_limit():
@@ -309,3 +309,204 @@ def test_galerkin_orthogonality_surrogate(params, params_ell1, quadratic_field):
     rhs2 = asm.assemble_elasticity_rhs(space2, val2, grad2, params_ell1.mu,
                                        params_ell1.lam, params_ell1.eta)
     assert np.abs(rhs2 - action2).max() <= 1e-10 * max(1.0, np.abs(action2).max())
+
+
+# --- einsum references ----------------------------------------------------------------------
+# The assembly contracts every cell and edge integral as one batched matmul
+# (assembly._gram and assembly._moments).  These references spell the same
+# integrals out index by index with np.einsum, on a mesh where no two cells
+# are congruent and with a full permeability tensor.
+
+REFERENCE_RTOL = 1e-13
+FULL_KAPPA = np.array([[1.3, 0.4], [0.4, 0.9]])
+
+
+def _smooth_field(x):
+    return np.stack([np.sin(2.0 * x[..., 0]) * x[..., 1], np.cos(x[..., 1]) + x[..., 0] ** 2],
+                    axis=-1)
+
+
+def _smooth_grad(x):
+    g = np.empty(x.shape[:-1] + (2, 2))
+    g[..., 0, 0] = 2.0 * np.cos(2.0 * x[..., 0]) * x[..., 1]
+    g[..., 0, 1] = np.sin(2.0 * x[..., 0])
+    g[..., 1, 0] = 2.0 * x[..., 0]
+    g[..., 1, 1] = -np.sin(x[..., 1])
+    return g
+
+
+def _relative_error(got, want):
+    got = got.toarray() if hasattr(got, "toarray") else got
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _dense(shape, row_dofs, col_dofs, local):
+    out = np.zeros(shape)
+    np.add.at(out, (row_dofs[:, :, None], col_dofs[:, None, :]), local)
+    return out
+
+
+def _vector(ndofs, dofs, local):
+    out = np.zeros(ndofs)
+    np.add.at(out, dofs, local)
+    return out
+
+
+def _tangential(values, n):
+    return values - np.einsum("eqia,ea->eqi", values, n)[..., None] * n[:, None, None, :]
+
+
+def _edge_data(space):
+    mesh, tr = space.mesh, space.edge_traces
+    boundary = np.flatnonzero(mesh.boundary_edge)
+    wq = mesh.h_edge[:, None] * tr.s_weights[None, :]
+    return mesh, tr, tr.interior, boundary, wq
+
+
+def _reference_elasticity(space, mu, lam, eta):
+    tab = space.volume
+    eps = 0.5 * (tab.grads + np.swapaxes(tab.grads, -1, -2))
+    local = (2.0 * mu * np.einsum("cq,cqiab,cqjab->cij", tab.weights, eps, eps)
+             + lam * np.einsum("cq,cqi,cqj->cij", tab.weights, tab.divs, tab.divs))
+    shape = (space.ndofs, space.ndofs)
+    out = _dense(shape, space.cell_dofs, space.cell_dofs, local)
+    mesh, tr, interior, boundary, wq = _edge_data(space)
+    nd = space.element.dim
+
+    def add_edges(ids, avg, jump, dofs):
+        cons = np.einsum("eq,eqia,eqja->eij", wq[ids], avg, jump)
+        pen = np.einsum("e,eq,eqia,eqja->eij", 1.0 / mesh.h_edge[ids], wq[ids], jump, jump)
+        local_e = -2.0 * mu * (cons + np.swapaxes(cons, 1, 2)) + 2.0 * mu * eta * pen
+        return _dense(shape, dofs, dofs, local_e)
+
+    n = tr.normals[interior]
+    avg = np.zeros(tr.values0[interior].shape[:2] + (2 * nd, 2))
+    jump = np.zeros_like(avg)
+    avg[:, :, :nd] = 0.5 * np.einsum("eqiab,eb->eqia", tr.strains0[interior], n)
+    avg[:, :, nd:] = 0.5 * np.einsum("eqiab,eb->eqia", tr.strains1, n)
+    jump[:, :, :nd] = _tangential(tr.values0[interior], n)
+    jump[:, :, nd:] = -_tangential(tr.values1, n)
+    union = np.concatenate([space.cell_dofs[mesh.edge_cells[interior, 0]],
+                            space.cell_dofs[mesh.edge_cells[interior, 1]]], axis=1)
+    out += add_edges(interior, avg, jump, union)
+    n = tr.normals[boundary]
+    out += add_edges(boundary, np.einsum("eqiab,eb->eqia", tr.strains0[boundary], n),
+                     _tangential(tr.values0[boundary], n),
+                     space.cell_dofs[mesh.edge_cells[boundary, 0]])
+    return out
+
+
+def _reference_elasticity_rhs(space, mu, lam, eta):
+    tab = space.volume
+    eps = 0.5 * (tab.grads + np.swapaxes(tab.grads, -1, -2))
+    g = _smooth_grad(tab.points)
+    eps_y = 0.5 * (g + np.swapaxes(g, -1, -2))
+    div_y = np.trace(g, axis1=-2, axis2=-1)
+    local = (2.0 * mu * np.einsum("cq,cqab,cqiab->ci", tab.weights, eps_y, eps)
+             + lam * np.einsum("cq,cq,cqi->ci", tab.weights, div_y, tab.divs))
+    out = _vector(space.ndofs, space.cell_dofs, local)
+    mesh, tr, interior, boundary, wq = _edge_data(space)
+    gy = _smooth_grad(tr.points)
+    eps_ex = 0.5 * (gy + np.swapaxes(gy, -1, -2))
+    n = tr.normals[interior]
+    avg_y = np.einsum("eqab,eb->eqa", eps_ex[interior], n)
+    for side, vals, sign in ((0, tr.values0[interior], 1.0), (1, tr.values1, -1.0)):
+        jump_i = sign * _tangential(vals, n)
+        out += _vector(space.ndofs, space.cell_dofs[mesh.edge_cells[interior, side]],
+                       -2.0 * mu * np.einsum("eq,eqa,eqia->ei", wq[interior], avg_y, jump_i))
+    n = tr.normals[boundary]
+    y = _smooth_field(tr.points[boundary])
+    tang_y = y - np.einsum("eqa,ea->eq", y, n)[..., None] * n[:, None, :]
+    avg_y = np.einsum("eqab,eb->eqa", eps_ex[boundary], n)
+    avg_i = np.einsum("eqiab,eb->eqia", tr.strains0[boundary], n)
+    jump_i = _tangential(tr.values0[boundary], n)
+    w = wq[boundary]
+    local = (-2.0 * mu * np.einsum("eq,eqa,eqia->ei", w, avg_y, jump_i)
+             - 2.0 * mu * np.einsum("eq,eqia,eqa->ei", w, avg_i, tang_y)
+             + 2.0 * mu * eta * np.einsum("e,eq,eqa,eqia->ei", 1.0 / mesh.h_edge[boundary],
+                                          w, tang_y, jump_i))
+    return out + _vector(space.ndofs, space.cell_dofs[mesh.edge_cells[boundary, 0]], local)
+
+
+def _reference_interpolant(space):
+    """The canonical BDM interpolant of _smooth_field: edge moments against
+    P_r, then the area-normalized interior moments of BDM_2."""
+    mesh, r, npe = space.mesh, space.degree, space.element.n_edge_dofs
+    rule = gauss_legendre_rule(sps.DENSE_EDGE_POINTS)
+    a = mesh.vertices[mesh.edges[:, 0]]
+    b = mesh.vertices[mesh.edges[:, 1]]
+    vals = _smooth_field(a[:, None, :] + rule.nodes[None, :, None] * (b - a)[:, None, :])
+    vn = np.einsum("eqa,ea->eq", vals, mesh.edge_normals)
+    powers = rule.nodes[None, :] ** np.arange(r + 1)[:, None]
+    moments = np.einsum("q,iq,eq->ei", rule.weights, powers, vn)
+    gram = 1.0 / (np.arange(r + 1)[:, None] + np.arange(r + 1)[None, :] + 1.0)
+    nodal = (np.linalg.solve(gram, moments.T).T
+             @ (space.element.edge_points[None, :] ** np.arange(r + 1)[:, None]))
+    coeffs = np.zeros(space.ndofs)
+    coeffs[:mesh.num_edges * npe] = nodal.reshape(-1)
+    if space.element.n_interior_dofs:
+        qp, qw = triangle_rule(min(space.quad_degree + 4, 12))
+        verts = mesh.vertices[mesh.cells]
+        bmat = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
+        v = _smooth_field(np.einsum("cab,qb->cqa", bmat, qp) + verts[:, 0][:, None, :])
+        w = np.broadcast_to(2.0 * qw, v.shape[:2])      # moments divided by the cell area
+        curl = space._bubble_curl_physical(qp)
+        interior = np.stack([np.einsum("cq,cq->c", w, v[..., 0]),
+                             np.einsum("cq,cq->c", w, v[..., 1]),
+                             np.einsum("cq,cqa,cqa->c", w, v, curl)], axis=1)
+        coeffs[mesh.num_edges * npe:] = interior.reshape(-1)
+    return coeffs
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_operators_match_einsum_references(ell, perturbed_mesh):
+    params = asm.PhysicalParams(kappa=FULL_KAPPA, eta=4.0 * (ell + 1) ** 2, lam=2.0, mu=1.3)
+    disc = Discretization(perturbed_mesh, ell, params)
+    bdm, dgp = disc.bdm, disc.dgp
+    tv, tp = bdm.volume, dgp.volume
+    nb, npp = bdm.ndofs, dgp.ndofs
+    mass = np.einsum("cq,cqia,cqja->cij", tv.weights, tv.values, tv.values)
+    kinv = np.einsum("cq,cqia,ab,cqjb->cij", tv.weights, tv.values, params.kappa_inv,
+                     tv.values)
+    div = np.einsum("cq,cqi,cqj->cij", tv.weights, tv.divs, tp.values)
+    mass_p = np.einsum("cq,cqi,cqj->cij", tp.weights, tp.values, tp.values)
+    cases = {
+        "mass_bdm": (disc.mass_bdm, _dense((nb, nb), bdm.cell_dofs, bdm.cell_dofs, mass)),
+        "mass_kinv": (disc.mass_kinv, _dense((nb, nb), bdm.cell_dofs, bdm.cell_dofs, kinv)),
+        "mass_p": (disc.mass_p, _dense((npp, npp), dgp.cell_dofs, dgp.cell_dofs, mass_p)),
+        "div_w": (disc.div_w, _dense((nb, npp), bdm.cell_dofs, dgp.cell_dofs, div)),
+        "div_u_alpha": (disc.div_u_alpha,
+                        params.alpha * _dense((nb, npp), bdm.cell_dofs, dgp.cell_dofs, div)),
+        "elasticity": (disc.elasticity,
+                       _reference_elasticity(bdm, params.mu, params.lam, params.eta)),
+    }
+    for name, (got, want) in cases.items():
+        assert _relative_error(got, want) <= REFERENCE_RTOL, name
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_loads_and_interpolant_match_einsum_references(ell, perturbed_mesh):
+    params = asm.PhysicalParams(kappa=FULL_KAPPA, eta=4.0 * (ell + 1) ** 2, lam=2.0, mu=1.3)
+    disc = Discretization(perturbed_mesh, ell, params)
+    bdm, dgp = disc.bdm, disc.dgp
+    tv, tp = bdm.volume, dgp.volume
+    scalar = lambda x: np.sin(3.0 * x[..., 0]) + x[..., 1] ** 2
+    one = lambda t: 1.0
+    cases = {
+        "vector load": (
+            asm.assemble_load(bdm, asm.FieldSource([(one, _smooth_field)]), 0.0),
+            _vector(bdm.ndofs, bdm.cell_dofs, np.einsum(
+                "cq,cqa,cqia->ci", tv.weights, _smooth_field(tv.points), tv.values))),
+        "scalar load": (
+            asm.assemble_load(dgp, asm.FieldSource([(one, scalar)]), 0.0),
+            _vector(dgp.ndofs, dgp.cell_dofs, np.einsum(
+                "cq,cq,cqi->ci", tp.weights, scalar(tp.points), tp.values))),
+        "elasticity rhs": (
+            asm.assemble_elasticity_rhs(bdm, _smooth_field, _smooth_grad, params.mu,
+                                        params.lam, params.eta),
+            _reference_elasticity_rhs(bdm, params.mu, params.lam, params.eta)),
+        "interpolant": (sps.interpolate_vector_field(bdm, _smooth_field),
+                        _reference_interpolant(bdm)),
+    }
+    for name, (got, want) in cases.items():
+        assert _relative_error(got, want) <= REFERENCE_RTOL, name

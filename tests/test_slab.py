@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from biotcgp import linalg, mms
 from biotcgp import slab
 from biotcgp import spaces as sps
-from biotcgp.assembly import PhysicalParams
+from biotcgp.assembly import PhysicalParams, assemble_elasticity_rhs
 from biotcgp.mesh import structured_mesh
 from biotcgp.slab import (Discretization, SlabOperators, SlabState, SourceSet,
                           TimeGrid, march, project_initial_data)
@@ -131,8 +131,8 @@ def test_build_and_solve_single_slab(disc4, params):
 
 def _assembled_inner(ops):
     """The coupled slab matrix theta_dt ⊗ T + tau theta_mass ⊗ S, assembled."""
-    return (sp.kron(ops.theta_dt[:, 1:], ops.time_derivative_block)
-            + ops.tau * sp.kron(ops.theta_mass[:, 1:], ops.stationary_block)).tocsc()
+    return (sp.kron(ops.theta_dt[:, 1:], ops.disc.time_derivative_block)
+            + ops.tau * sp.kron(ops.theta_mass[:, 1:], ops.disc.stationary_block)).tocsc()
 
 
 @pytest.mark.parametrize("ell", [0, 1])
@@ -148,6 +148,24 @@ def test_inner_operator_matches_assembled_kronecker(params, rng, k, ell):
         x = rng.standard_normal(n)
         want = reference @ x
         assert np.linalg.norm(ops.inner_matrix @ x - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_slab_blocks_built_once_per_discretization(params, monkeypatch):
+    # T and S depend on neither tau nor k: operators of several slab lengths
+    # and orders share the two blocks of their discretization
+    built = []
+    bmat = slab.sp.bmat
+
+    def recording(*args, **kwargs):
+        built.append(1)
+        return bmat(*args, **kwargs)
+    monkeypatch.setattr(slab.sp, "bmat", recording)
+    disc = Discretization(structured_mesh(2, 2), 0, params)
+    ops = [SlabOperators(disc, k, tau) for k, tau in ((1, 0.1), (2, 0.1), (2, 0.05))]
+    assert len(built) == 2
+    for o in ops:
+        assert o._kronecker[2] is disc.time_derivative_block
+        assert o._kronecker[3] is disc.stationary_block
 
 
 def test_slab_operators_freed_without_the_collector(disc4, monkeypatch):
@@ -454,6 +472,32 @@ def test_march_independent_of_the_callers_blas_threads(params, blas_pools):
                           case.sources()))
     for f in ("u", "v", "w", "p"):
         assert np.array_equal(runs[0].coeffs[f], runs[1].coeffs[f])
+
+
+def test_assembly_independent_of_the_callers_blas_threads(blas_pools):
+    # assembly contracts its cell and edge integrals with batched matmuls,
+    # which reach BLAS; reruns stay byte-identical only if no thread count
+    # reorders their sums
+    params = PhysicalParams(eta=16.0, kappa=np.array([[1.3, 0.4], [0.4, 0.9]]))
+    runs = []
+    for count in (1, 2):
+        for _, set_threads in blas_pools:
+            set_threads(count)
+        disc = Discretization(structured_mesh(24, 24), 1, params)
+        case = mms.default_mms(params)
+        u, grad_u = case.at("u", 0.3), case.at("grad_u", 0.3)
+        runs.append([getattr(disc, name) for name in (
+            "mass_bdm", "mass_kinv", "elasticity", "div_w", "div_u_alpha", "mass_p",
+            "time_derivative_block", "stationary_block")]
+            + [disc.p_volume, sps.interpolate_vector_field(disc.bdm, u),
+               assemble_elasticity_rhs(disc.bdm, u, grad_u, params.mu, params.lam,
+                                       params.eta)])
+    for first, second in zip(*runs):
+        if sp.issparse(first):
+            assert np.array_equal(first.indptr, second.indptr)
+            assert np.array_equal(first.indices, second.indices)
+            first, second = first.data, second.data
+        assert np.array_equal(first, second)
 
 
 def test_snapshot_export(tmp_path, disc4):

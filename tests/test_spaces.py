@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biotcgp import spaces as sps
-from biotcgp.mesh import _connect, refine_uniform, structured_mesh
+from biotcgp.mesh import refine_uniform, structured_mesh
 
 
 def _random_point_in_cell(mesh, cell, rng):
@@ -141,26 +141,11 @@ def test_shared_edge_trace_from_both_cells(mesh1, rng):
         assert abs(v0 - v1) <= 1e-12 * max(1.0, abs(v0))
 
 
-def _perturbed_mesh(seed=7):
-    """structured_mesh(3, 3) with every interior vertex moved by at most 0.2 h,
-    so no two cells are congruent and B^-1 differs from its transpose."""
-    mesh = structured_mesh(3, 3)
-    rng = np.random.default_rng(seed)
-    verts = mesh.vertices.copy()
-    inner = np.flatnonzero(np.all((verts > 0.0) & (verts < 1.0), axis=1))
-    radius = 0.2 * rng.random(inner.size) / 3.0
-    angle = 2.0 * np.pi * rng.random(inner.size)
-    verts[inner] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
-    moved = _connect(verts, mesh.cells)
-    moved.validate()
-    return moved
-
-
 @pytest.mark.parametrize("degree", [1, 2])
-def test_tabulated_derivatives_match_central_differences(degree):
+def test_tabulated_derivatives_match_central_differences(degree, perturbed_mesh):
     # central differences are exact for the polynomial degrees involved, so
     # only rounding (~eps / step) separates them from the tabulated data
-    mesh = _perturbed_mesh()
+    mesh = perturbed_mesh
     space = sps.build_space(mesh, "BDM", degree)
     cells = np.arange(mesh.num_cells)
     pts = space.volume.points
