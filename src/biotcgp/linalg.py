@@ -26,8 +26,12 @@ Gaussian elimination in working precision (Skeel 1980) and absorbs the
 rounding of an ill-conditioned inner transform.  It takes further steps, up
 to MAX_REFINEMENT_STEPS, while the residual it refined from exceeded the
 residual contract, and stops as soon as a step fails to shrink the residual.
-Every solve enforces that contract, so callers can rely
-on the solution quality.
+A caller that can predict the solution passes it as a start: the solve then
+takes exactly one refinement step from it and skips the elimination of b.
+That is sound only with an exact factor, so a caller drops its start where
+``tiny_pivots`` were raised; and if the step misses the residual contract,
+``lu_solve`` solves again without it.  Every solve enforces that contract,
+so callers can rely on the solution quality.
 
 ``serial_blas`` runs a block with every loaded OpenBLAS pool on one thread:
 the stage systems are too small for a second BLAS thread to pay, and its
@@ -45,8 +49,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolverError", "LinearSystem", "lu_factor", "factor_system", "lu_solve",
-           "dense_min_eig_sym", "serial_blas"]
+__all__ = ["SolverError", "LinearSystem", "tiny_pivots", "lu_factor", "factor_system",
+           "lu_solve", "dense_min_eig_sym", "serial_blas"]
 
 RESIDUAL_TOL = 1e-10
 ZERO_RHS_TOL = 1e-12
@@ -118,19 +122,26 @@ def _structural_zero_row(a: sp.spmatrix) -> int:
     return int(empty[0]) if empty.size else -1
 
 
-def _floor_tiny_pivots(csc: sp.csc_matrix) -> sp.csc_matrix:
-    """Raise each nonzero diagonal entry below SQRT_EPS times its column's
-    largest entry to SQRT_EPS times the update its neighbours would bring,
-    sum_j |a_ij a_ji / a_jj|, keeping its phase (Li & Demmel's tiny-pivot
-    replacement with a local scale)."""
-    d = csc.diagonal()
-    size = np.abs(d)
+def tiny_pivots(matrix: sp.spmatrix) -> np.ndarray:
+    """Mask of the nonzero diagonal entries below SQRT_EPS times their
+    column's largest entry: the pivots ``lu_factor`` raises before factoring."""
+    csc = sp.csc_matrix(matrix)
+    size = np.abs(csc.diagonal())
     colmax = np.zeros_like(size)
     filled = np.diff(csc.indptr) > 0
     colmax[filled] = np.maximum.reduceat(np.abs(csc.data), csc.indptr[:-1][filled])
-    tiny = (size > 0.0) & (size < SQRT_EPS * colmax)
+    return (size > 0.0) & (size < SQRT_EPS * colmax)
+
+
+def _floor_tiny_pivots(csc: sp.csc_matrix) -> sp.csc_matrix:
+    """Raise each of the ``tiny_pivots`` to SQRT_EPS times the update its
+    neighbours would bring, sum_j |a_ij a_ji / a_jj|, keeping its phase
+    (Li & Demmel's tiny-pivot replacement with a local scale)."""
+    tiny = tiny_pivots(csc)
     if not tiny.any():
         return csc
+    d = csc.diagonal()
+    size = np.abs(d)
     # only non-tiny neighbours count, so a tiny entry's own term drops out
     inv = np.divide(1.0, size, out=np.zeros_like(size), where=(size > 0.0) & ~tiny)
     floor = SQRT_EPS * (abs(csc.multiply(csc.T)) @ inv)
@@ -188,12 +199,20 @@ class BorderedFactor:
         lam = self.schur @ (rhs[n:] - self.c @ y)
         return np.concatenate([y - self.z @ lam, lam])
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Bordered solve refined against the bordered matrix: one step always,
-        and another while the residual a step started from exceeded the
-        residual contract (a raised tiny pivot leaves an inexact factor).
-        Stops with SolverError as soon as a step fails to shrink the residual."""
+    def solve(self, rhs: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+        """Bordered solve refined against the bordered matrix.
+
+        Without ``start``: eliminate, then refine, one step always and another
+        while the residual a step started from exceeded the residual contract
+        (a raised tiny pivot leaves an inexact factor); stops with SolverError
+        as soon as a step fails to shrink the residual.  With ``start``, a
+        prediction of the solution: exactly one step from it,
+        start + F(b - K start), and no elimination of b itself.  Only an
+        exact factor makes one step from a prediction enough; ``lu_solve``
+        checks the result and falls back to the solve without a start."""
         rhs = np.asarray(rhs, dtype=float)
+        if start is not None:
+            return start + self._eliminate(rhs - _bordered_matvec(self.matrix, self.c, start))
         bound = RESIDUAL_TOL * np.linalg.norm(rhs)
         x = self._eliminate(rhs)
         previous = np.inf
@@ -215,15 +234,23 @@ def factor_system(system: LinearSystem, factorize=None) -> BorderedFactor:
     return BorderedFactor(system.matrix, system.constraints, factorize)
 
 
-def lu_solve(system: LinearSystem, factor: BorderedFactor | None = None) -> np.ndarray:
+def lu_solve(system: LinearSystem, factor: BorderedFactor | None = None,
+             start: np.ndarray | None = None) -> np.ndarray:
     """Solve with ``factor`` (factored here if None) under the residual contract:
     relative residual <= RESIDUAL_TOL, or ||x|| <= ZERO_RHS_TOL if b = 0.
 
-    Slab solves pass their cached factor, so they meet the same contract.
+    Slab solves pass their cached factor, so they meet the same contract,
+    and a ``start`` predicted from the previous slab.  The one refinement
+    step from it is kept if it meets the contract; otherwise, and always
+    when b = 0, the solve runs as without a start.
     """
     if factor is None:
         factor = factor_system(system)
     b = system.full_rhs()
+    if start is not None and np.linalg.norm(b) > 0.0:
+        x = factor.solve(b, start)
+        if system.residual(x) <= RESIDUAL_TOL:
+            return x
     x = factor.solve(b)
     if np.linalg.norm(b) == 0.0:
         if np.linalg.norm(x) > ZERO_RHS_TOL:

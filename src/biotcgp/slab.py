@@ -17,6 +17,17 @@ bordered solve refines against the coupled matrix, which absorbs the
 conditioning of the eigenvector transform.  That matrix is never assembled:
 the refinement and the residual contract apply it through its Kronecker
 factors on the (k, block) view of the stage unknowns.
+
+The trial space is continuous and piecewise polynomial, so a finished slab's
+degree-k polynomial, extrapolated to the next slab's Gauss nodes, predicts
+that slab's stage values to O(tau^(k+1)) (the starting values of implicit
+Runge-Kutta methods, Hairer & Wanner, Solving ODEs II, IV.8).  Every slab
+after the first starts its bordered solve from that prediction and the
+previous multipliers, and takes one refinement step from it in place of the
+elimination of its right-hand side: one stage solve per slab, not two.  The
+start is dropped where a stage pivot was raised (``GaussStages.pivots_raised``):
+one step with a sqrt(eps)-accurate inverse leaves the v, w and p rows of a
+stiff slab far off although the lambda-dominated global residual passes.
 """
 
 from __future__ import annotations
@@ -29,7 +40,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly as asm
-from .linalg import LinearSystem, factor_system, lu_factor, lu_solve, serial_blas
+from .linalg import (LinearSystem, factor_system, lu_factor, lu_solve, serial_blas,
+                     tiny_pivots)
 from .mesh import Mesh, write_vtk_edges, write_vtk_mesh
 from .spaces import build_space, interpolate_vector_field, project_scalar_field, remove_mean
 from .time_basis import gauss_rule, gauss_lobatto_rule, lagrange_basis
@@ -218,7 +230,9 @@ class GaussStages:
     eigenvalues with Im lam >= 0 are factorized: a real one gives a real LU,
     and the stage of a conjugate partner is the conjugate of the solved one,
     so the pair enters x as twice the real part.  Holds no reference to the
-    slab operators that own its factor.
+    slab operators that own its factor.  ``pivots_raised`` tells whether
+    ``lu_factor`` raised a tiny pivot of any stage matrix, which leaves the
+    inverse accurate to sqrt(eps) only.
     """
 
     def __init__(self, dt_weights: np.ndarray, mass_weights: np.ndarray,
@@ -229,8 +243,10 @@ class GaussStages:
         self.real = lam.imag[keep] == 0.0
         self.to_stage = np.linalg.inv(mass_weights @ vecs)[keep]
         self.from_stage = vecs[:, keep] * np.where(self.real, 1.0, 2.0)
-        self.lus = [lu_factor((lam[j].real if real else lam[j]) * t_block + tau * s_block)
-                    for j, real in zip(keep, self.real)]
+        stages = [sp.csc_matrix((lam[j].real if real else lam[j]) * t_block + tau * s_block)
+                  for j, real in zip(keep, self.real)]
+        self.pivots_raised = any(tiny_pivots(stage).any() for stage in stages)
+        self.lus = [lu_factor(stage) for stage in stages]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         stages = self.to_stage @ rhs.reshape(self.from_stage.shape[0], -1)
@@ -299,13 +315,18 @@ class SlabOperators:
         nodes = self.tau * self.theta_src @ loads - np.outer(self.theta_dt[:, 0], tx0)
         return np.concatenate([nodes.ravel(), np.zeros(self.k)])
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+        """Stage values and multipliers of one slab.  ``start``, a prediction
+        of them, is used only where no stage pivot was raised: one refinement
+        step from it then replaces the elimination of ``rhs``."""
         n = self.inner_matrix.shape[0]
         system = LinearSystem(self.inner_matrix, rhs[:n],
                               constraints=(self.constraint_rows, rhs[n:]))
         if self._factor is None:
             self._factor = factor_system(system, lambda _: GaussStages(*self._kronecker))
-        return lu_solve(system, self._factor)
+        if self._factor.inner.pivots_raised:
+            start = None
+        return lu_solve(system, self._factor, start)
 
 
 @dataclass
@@ -360,17 +381,25 @@ def project_initial_data(disc: Discretization, u0, v0, w0, p0) -> SlabState:
 def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
           sources: SourceSet) -> Trajectory:
     """Slab-by-slab solve over the whole grid; continuity is exact by
-    construction (each slab starts from the evaluated end of the previous)."""
+    construction (each slab starts from the evaluated end of the previous).
+
+    Every slab after the first starts its solve from the previous slab's
+    polynomial extrapolated to its Gauss nodes (module doc)."""
     ops = SlabOperators(disc, k, grid.tau)
     nb, npp = disc.bdm.ndofs, disc.dgp.ndofs
     coeffs = {f: np.zeros((grid.num_slabs, k + 1, nb if f != "p" else npp))
               for f in FIELDS}
-    state = initial
+    # G0 basis of one slab at the next slab's Gauss nodes, (k, k+1)
+    ahead = lagrange_basis("G0", k).eval_all(1.0 + gauss_rule(k).nodes)
+    state, start = initial, None
     # the stage factorizations and solves run on one BLAS thread (linalg module doc)
     with serial_blas():
         for n in range(1, grid.num_slabs + 1):
             rhs = ops.rhs(state, grid.endpoints[n - 1], sources)
-            nodes = ops.solve(rhs)[:k * ops.block_size].reshape(k, ops.block_size)
+            x = ops.solve(rhs, start)
+            nodes = x[:k * ops.block_size].reshape(k, ops.block_size)
+            known = np.vstack([ops.restrict_state(state), nodes])
+            start = np.concatenate([(ahead @ known).ravel(), x[k * ops.block_size:]])
             fields = np.split(nodes, np.arange(1, 4) * ops.n_bdm, axis=1)
             for fname, values in zip(FIELDS, fields):
                 coeffs[fname][n - 1, 0] = getattr(state, fname)

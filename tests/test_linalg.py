@@ -89,6 +89,42 @@ def test_refinement_stops_when_it_diverges():
         lu_solve(system, factor)
 
 
+def _spd_with_mean_constraint(rng, n=30):
+    m = rng.standard_normal((n, n))
+    a = sp.csr_matrix(m @ m.T + n * np.eye(n))
+    return LinearSystem(a, rng.standard_normal(n), constraints=(np.ones((1, n)), np.zeros(1)))
+
+
+def test_bad_start_falls_back_to_elimination(rng):
+    # an inverse 1 % off shrinks the error of a step by 100: from a start
+    # 1e3 times too large one step misses the contract, and the solve
+    # without a start refines until it is met
+    system = _spd_with_mean_constraint(rng)
+    factor = factor_system(system, lambda matrix: linalg.lu_factor(1.01 * matrix))
+    b = system.full_rhs()
+    start = 1e3 * rng.standard_normal(b.size)
+    assert system.residual(factor.solve(b, start)) > linalg.RESIDUAL_TOL
+    x = lu_solve(system, factor, start)
+    assert system.residual(x) <= linalg.RESIDUAL_TOL
+    assert np.array_equal(x, lu_solve(system, factor))
+
+
+def test_zero_rhs_ignores_the_start(rng):
+    system = _spd_with_mean_constraint(rng)
+    system.rhs = np.zeros_like(system.rhs)
+    factor = factor_system(system)
+    starts = []
+    solve = factor.solve
+
+    def recording(rhs, start=None):
+        starts.append(start)
+        return solve(rhs, start)
+    factor.solve = recording
+    x = lu_solve(system, factor, rng.standard_normal(system.full_rhs().size))
+    assert len(starts) == 1 and starts[0] is None
+    assert np.linalg.norm(x) <= linalg.ZERO_RHS_TOL
+
+
 def test_dimension_mismatch():
     with pytest.raises(SolverError):
         lu_solve(LinearSystem(sp.eye(3, format="csr"), np.ones(4)))
