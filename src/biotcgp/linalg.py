@@ -15,9 +15,12 @@ it is raised to sqrt(eps) of the update those neighbours would bring before
 factoring.  The factor is then that of a matrix within sqrt(eps) of the
 true one, and the refinement below recovers full accuracy in a second step.
 
-Equality-constraint rows are not folded into the sparse matrix: dense
-multiplier rows poison the ordering, so they are eliminated through a small
-dense Schur complement on top of the factored inner matrix.  The inner
+A ``LinearSystem`` is bordered by equality-constraint rows and holds its
+whole right-hand side in one vector, the load followed by one constraint
+value per row; a plain system has a border of zero rows and takes the same
+path.  The rows are not folded into the sparse matrix: dense multiplier
+rows poison the ordering, so they are eliminated through a small dense
+Schur complement on top of the factored inner matrix.  The inner
 factorization is pluggable: the slab solver passes one that solves the
 coupled stage system through decoupled per-stage LUs.  Every bordered solve
 takes at least one step of iterative refinement against the bordered matrix
@@ -49,7 +52,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolverError", "LinearSystem", "tiny_pivots", "lu_factor", "factor_system",
+__all__ = ["SolverError", "LinearSystem", "tiny_pivots", "lu_factor", "BorderedFactor",
            "lu_solve", "dense_min_eig_sym", "serial_blas"]
 
 RESIDUAL_TOL = 1e-10
@@ -68,49 +71,43 @@ class SolverError(RuntimeError):
 
 @dataclass
 class LinearSystem:
-    """Square system with optional equality-constraint rows (C, d).
+    """Square system A bordered by equality-constraint rows C:
+    [[A, C^T], [C, 0]] (x, lam) = rhs.
 
-    ``matrix`` is sparse or an operator with ``@`` and ``.shape``.  The solved
-    vector carries the primary unknowns followed by one Lagrange multiplier
-    per constraint row.
+    ``matrix`` A is sparse or an operator with ``@`` and ``.shape``.  ``rhs``
+    is the whole bordered right-hand side, the load followed by one constraint
+    value per row of C, and the solved vector carries the primary unknowns
+    followed by one Lagrange multiplier per row.  Without constraint rows the
+    border is (0, n) and the system is A x = rhs, on the same code path.
     """
 
     matrix: sp.spmatrix | spla.LinearOperator
     rhs: np.ndarray
-    constraints: tuple[np.ndarray, np.ndarray] | None = None
+    constraint_rows: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.constraint_rows is None:
+            self.constraint_rows = np.zeros((0, self.matrix.shape[1]))
 
     def check(self) -> None:
-        a = self.matrix
+        a, m = self.matrix, len(self.constraint_rows)
         if a.shape[0] != a.shape[1]:
             raise SolverError(f"matrix is not square: {a.shape}")
-        if np.asarray(self.rhs).shape[0] != a.shape[0]:
-            raise SolverError(f"rhs length {len(self.rhs)} does not match {a.shape}")
-
-    def full_rhs(self) -> np.ndarray:
-        if self.constraints is None:
-            return np.asarray(self.rhs, dtype=float)
-        _, d = self.constraints
-        return np.concatenate([np.asarray(self.rhs, dtype=float),
-                               np.atleast_1d(np.asarray(d, dtype=float))])
+        if len(self.rhs) != a.shape[0] + m:
+            raise SolverError(f"rhs length {len(self.rhs)} does not match {a.shape} "
+                              f"plus {m} constraint rows")
 
     def residual(self, solution: np.ndarray) -> float:
-        """Relative residual of the full (bordered) system."""
-        b = self.full_rhs()
-        c = None if self.constraints is None else _border_rows(self.constraints[0])
-        num = np.linalg.norm(_bordered_matvec(self.matrix, c, solution) - b)
+        """Relative residual of the bordered system."""
+        b = self.rhs
+        num = np.linalg.norm(_bordered_matvec(self.matrix, self.constraint_rows, solution) - b)
         den = np.linalg.norm(b)
         return num / den if den > 0.0 else num
 
 
-def _border_rows(c) -> np.ndarray:
-    return np.atleast_2d(np.asarray(c, dtype=float))
-
-
-def _bordered_matvec(matrix: sp.spmatrix | spla.LinearOperator, c: np.ndarray | None,
+def _bordered_matvec(matrix: sp.spmatrix | spla.LinearOperator, c: np.ndarray,
                      solution: np.ndarray) -> np.ndarray:
-    """[[A, C^T], [C, 0]] @ (x, lam); just A @ x when there is no border."""
-    if c is None:
-        return matrix @ solution
+    """[[A, C^T], [C, 0]] @ (x, lam)."""
     n = matrix.shape[0]
     x, lam = solution[:n], solution[n:]
     return np.concatenate([matrix @ x + c.T @ lam, c @ x])
@@ -169,22 +166,23 @@ def lu_factor(matrix: sp.spmatrix) -> spla.SuperLU:
 
 
 class BorderedFactor:
-    """LU of the inner matrix plus a dense Schur complement for the border.
+    """LU of a system's inner matrix plus a dense Schur complement for its
+    constraint rows (none for a plain system).
 
     ``factorize(matrix)`` builds the inner solver (anything with ``solve``
     returning a real vector); it defaults to ``lu_factor``, which needs a
     sparse matrix.  The matrix, sparse or an operator with ``@`` and
-    ``.shape``, is kept for the refinement steps of ``solve``.
+    ``.shape``, and the constraint rows are kept for the refinement steps of
+    ``solve``, which takes any right-hand side of the system's layout.
     """
 
-    def __init__(self, matrix: sp.spmatrix | spla.LinearOperator, constraints, factorize=None):
-        self.matrix = matrix
-        self.inner = (lu_factor if factorize is None else factorize)(matrix)
-        if constraints is None:
-            self.c = None
-            return
-        self.c = _border_rows(constraints[0])
-        self.z = np.column_stack([self.inner.solve(row) for row in self.c])
+    def __init__(self, system: LinearSystem, factorize=None):
+        system.check()
+        self.matrix, self.c = system.matrix, system.constraint_rows
+        self.inner = (lu_factor if factorize is None else factorize)(self.matrix)
+        self.z = np.zeros(self.c.T.shape)
+        for j, row in enumerate(self.c):
+            self.z[:, j] = self.inner.solve(row)
         schur = -self.c @ self.z            # [[A C^T],[C 0]] elimination
         try:
             self.schur = np.linalg.inv(schur)
@@ -192,8 +190,6 @@ class BorderedFactor:
             raise SolverError(f"constraint Schur complement singular: {exc}") from exc
 
     def _eliminate(self, rhs: np.ndarray) -> np.ndarray:
-        if self.c is None:
-            return self.inner.solve(rhs)
         n = self.c.shape[1]
         y = self.inner.solve(rhs[:n])
         lam = self.schur @ (rhs[n:] - self.c @ y)
@@ -229,11 +225,6 @@ class BorderedFactor:
         return x
 
 
-def factor_system(system: LinearSystem, factorize=None) -> BorderedFactor:
-    system.check()
-    return BorderedFactor(system.matrix, system.constraints, factorize)
-
-
 def lu_solve(system: LinearSystem, factor: BorderedFactor | None = None,
              start: np.ndarray | None = None) -> np.ndarray:
     """Solve with ``factor`` (factored here if None) under the residual contract:
@@ -245,8 +236,8 @@ def lu_solve(system: LinearSystem, factor: BorderedFactor | None = None,
     when b = 0, the solve runs as without a start.
     """
     if factor is None:
-        factor = factor_system(system)
-    b = system.full_rhs()
+        factor = BorderedFactor(system)
+    b = system.rhs
     if start is not None and np.linalg.norm(b) > 0.0:
         x = factor.solve(b, start)
         if system.residual(x) <= RESIDUAL_TOL:

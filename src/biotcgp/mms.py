@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import assembly as asm
-from .linalg import LinearSystem, factor_system, lu_solve
+from .linalg import BorderedFactor, LinearSystem, lu_solve
 from .slab import FIELDS, Discretization, SlabState, SourceSet, project_initial_data
 from .spaces import interpolate_vector_field, project_scalar_field, remove_mean
 
@@ -241,7 +241,7 @@ class DiscreteCase:
                  disc.div_u_alpha[free, :] @ p_hat,
                  disc.mass_kinv[np.ix_(free, free)] @ w_hat[free],
                  disc.div_w[free, :] @ p_hat]
-        factor = factor_system(LinearSystem(mass, loads[0]))
+        factor = BorderedFactor(LinearSystem(mass, loads[0]))
         self.q_elastic, self.q_pressure_u, self.q_kinv, self.q_pressure_w = (
             bdm.lift(lu_solve(LinearSystem(mass, load), factor)) for load in loads)
         self.du_hat = disc.div_coefficients(u_hat, disc.div_u_alpha)

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly as asm
-from .linalg import (LinearSystem, factor_system, lu_factor, lu_solve, serial_blas,
+from .linalg import (BorderedFactor, LinearSystem, lu_factor, lu_solve, serial_blas,
                      tiny_pivots)
 from .mesh import Mesh, write_vtk_edges, write_vtk_mesh
 from .spaces import build_space, interpolate_vector_field, project_scalar_field, remove_mean
@@ -277,7 +277,6 @@ class SlabOperators:
         self.theta_mass = g.weights[:, None] * basis_g0.eval_all(g.nodes)   # (k, k+1)
         self.theta_src = g.weights[:, None] * basis_gl.eval_all(g.nodes)    # (k, k+1)
         self.gl_nodes = gauss_lobatto_rule(k).nodes
-        self.end_weights = basis_g0.eval_all(np.asarray(1.0))               # (k+1,)
 
         # the coupled matrix is applied through its Kronecker factors, never
         # assembled; the matvec and the stage solver hold these, not self, so
@@ -306,8 +305,9 @@ class SlabOperators:
         out[:, 3 * n:] = disc.pressure_load(sources.mass, times)
         return out
 
-    def rhs(self, state: SlabState, t_left: float, sources: SourceSet) -> np.ndarray:
-        x0 = self.restrict_state(state)
+    def rhs(self, x0: np.ndarray, t_left: float, sources: SourceSet) -> np.ndarray:
+        """Bordered right-hand side of the slab that starts at ``t_left`` from
+        the free-DOF block ``x0``: k node loads, then k zero-mean values."""
         # the left-end value enters through the time derivative only: the G0
         # node-0 basis vanishes at every Gauss node, so theta_mass[:, 0] == 0
         tx0 = self.disc.time_derivative_block @ x0
@@ -319,11 +319,9 @@ class SlabOperators:
         """Stage values and multipliers of one slab.  ``start``, a prediction
         of them, is used only where no stage pivot was raised: one refinement
         step from it then replaces the elimination of ``rhs``."""
-        n = self.inner_matrix.shape[0]
-        system = LinearSystem(self.inner_matrix, rhs[:n],
-                              constraints=(self.constraint_rows, rhs[n:]))
+        system = LinearSystem(self.inner_matrix, rhs, self.constraint_rows)
         if self._factor is None:
-            self._factor = factor_system(system, lambda _: GaussStages(*self._kronecker))
+            self._factor = BorderedFactor(system, lambda _: GaussStages(*self._kronecker))
         if self._factor.inner.pivots_raised:
             start = None
         return lu_solve(system, self._factor, start)
@@ -341,7 +339,11 @@ class Trajectory:
     k: int
     disc: Discretization
     coeffs: dict[str, np.ndarray]
-    end_weights: np.ndarray = field(repr=False)
+
+    @cached_property
+    def end_weights(self) -> np.ndarray:
+        """G0 basis at the right end of a slab, (k+1,)."""
+        return lagrange_basis("G0", self.k).eval_all(1.0)
 
     def endpoint(self, field_name: str, n: int) -> np.ndarray:
         """Field coefficients at t_n (n = 0..N).
@@ -383,30 +385,29 @@ def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
     """Slab-by-slab solve over the whole grid; continuity is exact by
     construction (each slab starts from the evaluated end of the previous).
 
-    Every slab after the first starts its solve from the previous slab's
-    polynomial extrapolated to its Gauss nodes (module doc)."""
+    The march carries the free-DOF block of the left-end state, so the
+    initial state's boundary-normal DOFs are stored as zero.  Every slab
+    after the first starts its solve from the previous slab's polynomial
+    extrapolated to its Gauss nodes (module doc)."""
     ops = SlabOperators(disc, k, grid.tau)
     nb, npp = disc.bdm.ndofs, disc.dgp.ndofs
     coeffs = {f: np.zeros((grid.num_slabs, k + 1, nb if f != "p" else npp))
               for f in FIELDS}
+    traj = Trajectory(grid, k, disc, coeffs)
     # G0 basis of one slab at the next slab's Gauss nodes, (k, k+1)
     ahead = lagrange_basis("G0", k).eval_all(1.0 + gauss_rule(k).nodes)
-    state, start = initial, None
+    x0, start = ops.restrict_state(initial), None
     # the stage factorizations and solves run on one BLAS thread (linalg module doc)
     with serial_blas():
         for n in range(1, grid.num_slabs + 1):
-            rhs = ops.rhs(state, grid.endpoints[n - 1], sources)
-            x = ops.solve(rhs, start)
-            nodes = x[:k * ops.block_size].reshape(k, ops.block_size)
-            known = np.vstack([ops.restrict_state(state), nodes])
+            x = ops.solve(ops.rhs(x0, grid.endpoints[n - 1], sources), start)
+            known = np.vstack([x0, x[:k * ops.block_size].reshape(k, ops.block_size)])
             start = np.concatenate([(ahead @ known).ravel(), x[k * ops.block_size:]])
-            fields = np.split(nodes, np.arange(1, 4) * ops.n_bdm, axis=1)
+            fields = np.split(known, np.arange(1, 4) * ops.n_bdm, axis=1)
             for fname, values in zip(FIELDS, fields):
-                coeffs[fname][n - 1, 0] = getattr(state, fname)
-                coeffs[fname][n - 1, 1:] = values if fname == "p" else disc.bdm.lift(values)
-            state = SlabState(*(np.einsum("i,id->d", ops.end_weights, coeffs[f][n - 1])
-                                for f in FIELDS))
-    return Trajectory(grid, k, disc, coeffs, ops.end_weights)
+                coeffs[fname][n - 1] = values if fname == "p" else disc.bdm.lift(values)
+            x0 = np.einsum("i,id->d", traj.end_weights, known)
+    return traj
 
 
 def export_snapshots(traj: Trajectory, out_dir: str) -> list[str]:

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from biotcgp import linalg
-from biotcgp.linalg import (LinearSystem, SolverError, dense_min_eig_sym, factor_system,
+from biotcgp.linalg import (BorderedFactor, LinearSystem, SolverError, dense_min_eig_sym,
                             lu_solve)
 from biotcgp.mesh import structured_mesh
 from biotcgp.mms import default_mms
@@ -84,7 +84,7 @@ def test_refinement_stops_when_it_diverges():
     # the second residual is already larger than the first
     a = sp.csr_matrix(np.diag([1.0, 2.0, 4.0]))
     system = LinearSystem(a, np.ones(3))
-    factor = factor_system(system, lambda matrix: linalg.lu_factor(matrix / 3.0))
+    factor = BorderedFactor(system, lambda matrix: linalg.lu_factor(matrix / 3.0))
     with pytest.raises(SolverError, match="diverged at step 1"):
         lu_solve(system, factor)
 
@@ -92,7 +92,7 @@ def test_refinement_stops_when_it_diverges():
 def _spd_with_mean_constraint(rng, n=30):
     m = rng.standard_normal((n, n))
     a = sp.csr_matrix(m @ m.T + n * np.eye(n))
-    return LinearSystem(a, rng.standard_normal(n), constraints=(np.ones((1, n)), np.zeros(1)))
+    return LinearSystem(a, np.append(rng.standard_normal(n), 0.0), np.ones((1, n)))
 
 
 def test_bad_start_falls_back_to_elimination(rng):
@@ -100,8 +100,8 @@ def test_bad_start_falls_back_to_elimination(rng):
     # 1e3 times too large one step misses the contract, and the solve
     # without a start refines until it is met
     system = _spd_with_mean_constraint(rng)
-    factor = factor_system(system, lambda matrix: linalg.lu_factor(1.01 * matrix))
-    b = system.full_rhs()
+    factor = BorderedFactor(system, lambda matrix: linalg.lu_factor(1.01 * matrix))
+    b = system.rhs
     start = 1e3 * rng.standard_normal(b.size)
     assert system.residual(factor.solve(b, start)) > linalg.RESIDUAL_TOL
     x = lu_solve(system, factor, start)
@@ -112,7 +112,7 @@ def test_bad_start_falls_back_to_elimination(rng):
 def test_zero_rhs_ignores_the_start(rng):
     system = _spd_with_mean_constraint(rng)
     system.rhs = np.zeros_like(system.rhs)
-    factor = factor_system(system)
+    factor = BorderedFactor(system)
     starts = []
     solve = factor.solve
 
@@ -120,7 +120,7 @@ def test_zero_rhs_ignores_the_start(rng):
         starts.append(start)
         return solve(rhs, start)
     factor.solve = recording
-    x = lu_solve(system, factor, rng.standard_normal(system.full_rhs().size))
+    x = lu_solve(system, factor, rng.standard_normal(system.rhs.size))
     assert len(starts) == 1 and starts[0] is None
     assert np.linalg.norm(x) <= linalg.ZERO_RHS_TOL
 
@@ -128,6 +128,17 @@ def test_zero_rhs_ignores_the_start(rng):
 def test_dimension_mismatch():
     with pytest.raises(SolverError):
         lu_solve(LinearSystem(sp.eye(3, format="csr"), np.ones(4)))
+    # a bordered rhs holds the load and one value per constraint row
+    with pytest.raises(SolverError):
+        lu_solve(LinearSystem(sp.eye(3, format="csr"), np.ones(3), np.ones((1, 3))))
+
+
+def test_empty_border_is_the_plain_system(rng):
+    m = rng.standard_normal((20, 20))
+    a = sp.csr_matrix(m @ m.T + 20 * np.eye(20))
+    b = rng.standard_normal(20)
+    assert np.array_equal(lu_solve(LinearSystem(a, b)),
+                          lu_solve(LinearSystem(a, b, np.zeros((0, 20)))))
 
 
 def test_constraint_rows_enforced():
@@ -135,10 +146,10 @@ def test_constraint_rows_enforced():
     a = sp.csr_matrix(np.diag([1.0, 2.0, 4.0]))
     b = np.array([1.0, 1.0, 1.0])
     c = np.ones((1, 3))
-    x = lu_solve(LinearSystem(a, b, constraints=(c, np.zeros(1))))
+    x = lu_solve(LinearSystem(a, np.append(b, 0.0), c))
     assert abs(x[:3].sum()) <= 1e-12
-    factor = factor_system(LinearSystem(a, b, constraints=(c, np.zeros(1))))
-    x2 = factor.solve(np.concatenate([b, [0.0]]))
+    factor = BorderedFactor(LinearSystem(a, np.append(b, 0.0), c))
+    x2 = factor.solve(np.append(b, 0.0))
     assert np.allclose(x, x2, atol=0)
 
 

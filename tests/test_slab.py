@@ -123,7 +123,7 @@ def test_build_and_solve_single_slab(disc4, params):
     case = mms.discrete_case(disc4, 1, temporal="poly")
     grid = TimeGrid(0.5, 1)
     ops = SlabOperators(disc4, 1, grid.tau)
-    rhs = ops.rhs(case.initial_state(), grid.endpoints[0], case.sources())
+    rhs = ops.rhs(ops.restrict_state(case.initial_state()), grid.endpoints[0], case.sources())
     node = ops.solve(rhs)[:ops.block_size]
     exact = case.exact_state(grid.tau * gauss_rule(1).nodes[0])
     assert np.abs(node - ops.restrict_state(exact)).max() <= 1e-9
@@ -464,7 +464,7 @@ def test_eval_linear_in_coefficients(disc4):
     for f in ("u", "p"):
         doubled = {k: v.copy() for k, v in traj.coeffs.items()}
         doubled[f] = 2.0 * doubled[f]
-        traj2 = type(traj)(traj.grid, traj.k, traj.disc, doubled, traj.end_weights)
+        traj2 = type(traj)(traj.grid, traj.k, traj.disc, doubled)
         assert np.allclose(eval_at(traj2, f, t), 2.0 * eval_at(traj, f, t), atol=1e-13)
 
 
@@ -484,6 +484,23 @@ def test_march_determinism(disc4):
     t2 = march(disc4, 1, grid, case.initial_state(disc4), case.sources())
     for f in ("u", "v", "w", "p"):
         assert np.array_equal(t1.coeffs[f], t2.coeffs[f])
+
+
+@pytest.mark.parametrize("discrete", [False, True], ids=["projected", "discrete"])
+def test_first_slab_stores_the_initial_state(disc4, discrete):
+    # the march carries free-DOF blocks and stores their lift; both initial
+    # states have zero boundary-normal DOFs, so the lift loses nothing
+    case = mms.discrete_case(disc4, 2) if discrete else mms.default_mms(disc4.params)
+    initial = case.initial_state(disc4)
+    grid = TimeGrid(0.5, 2)
+    traj = march(disc4, 2, grid, initial, case.sources())
+    for f in ("u", "v", "w", "p"):
+        assert np.array_equal(traj.coeffs[f][0, 0], getattr(initial, f))
+        # the march evaluates a slab's end on the free-DOF block; the full-DOF
+        # evaluation that Trajectory.endpoint makes after the last slab
+        # gives the same bits
+        end = np.einsum("i,id->d", traj.end_weights, traj.coeffs[f][0])
+        assert np.array_equal(end, traj.coeffs[f][1, 0])
 
 
 # --- BLAS threads -------------------------------------------------------------------
