@@ -9,9 +9,12 @@ tree, each run in a fresh interpreter with that tree's ``src`` and
 workload it prints whether the ``output_digest``s of the two trees are equal
 on every seed, the output checks that failed on either side, and the worst
 reference deviation of each side as a fraction of its tolerance (> 1 fails).
-The trees are only read; the exit status is 1 if any check failed.
+Where the digests differ, it lists the output files, by relative path, whose
+bytes differ on the first such seed.  The trees are only read; the exit status
+is 1 if any check failed.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -31,6 +34,17 @@ def _child(root: str, *args: str) -> str:
     return done.stdout.splitlines()[-1]
 
 
+def _file_hashes(out_dir: str) -> dict[str, str]:
+    """SHA-256 of every output file, keyed by its path relative to ``out_dir``."""
+    hashes = {}
+    for root, _, files in os.walk(out_dir):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                hashes[os.path.relpath(path, out_dir)] = hashlib.sha256(handle.read()).hexdigest()
+    return hashes
+
+
 def _run_workload(name: str, seed: int) -> dict:
     import workloads
     from biotcgp.linalg import SolverError
@@ -42,7 +56,7 @@ def _run_workload(name: str, seed: int) -> dict:
             workload.execute(inputs, out_dir)
         except SolverError:  # a failed solve is a failed check, as in the benchmark
             return {"digest": None, "failed": ["SolverError"],
-                    "deviation": math.inf}
+                    "deviation": math.inf, "files": {}}
         checks = workloads.check_outputs(workload, inputs, seed, out_dir)
         with open(workloads.REFERENCE_PATH, encoding="utf-8") as handle:
             reference = json.load(handle)[name][str(seed % workloads.PARAM_SETS)]
@@ -53,7 +67,8 @@ def _run_workload(name: str, seed: int) -> dict:
                         default=0.0)
         return {"digest": workloads.output_digest(out_dir),
                 "failed": [check.name for check in checks if not check.passed],
-                "deviation": deviation}
+                "deviation": deviation,
+                "files": _file_hashes(out_dir)}
 
 
 def child(root: str, *args: str) -> None:
@@ -71,17 +86,25 @@ def main(old: str, new: str) -> int:
     any_failed = False
     print(f"{'workload':12s} {'digests equal':>14s}  worst deviation old -> new  failed checks")
     for name in names:
-        equal, worst, failed = 0, {"old": 0.0, "new": 0.0}, []
+        equal, worst, failed, differing = 0, {"old": 0.0, "new": 0.0}, [], None
         for seed in SEEDS:
             runs = {side: json.loads(_child(root, name, str(seed))) for side, root in roots.items()}
             digest = runs["old"]["digest"]
-            equal += digest is not None and digest == runs["new"]["digest"]
+            same = digest is not None and digest == runs["new"]["digest"]
+            equal += same
+            if not same and differing is None:
+                old_files, new_files = runs["old"]["files"], runs["new"]["files"]
+                differing = seed, sorted(path for path in old_files.keys() | new_files.keys()
+                                         if old_files.get(path) != new_files.get(path))
             for side, run in runs.items():
                 worst[side] = max(worst[side], run["deviation"])
                 failed += [f"{side}:seed{seed}:{check}" for check in run["failed"]]
         any_failed |= bool(failed)
         print(f"{name:12s} {equal:>10d}/{len(SEEDS)}   "
               f"{worst['old']:11.4g} -> {worst['new']:<11.4g}  {' '.join(failed) or 'none'}")
+        if differing is not None:
+            seed, paths = differing
+            print(f"{'':12s} seed {seed} differs in: {' '.join(paths) or 'no file (a run failed)'}")
     return 1 if any_failed else 0
 
 

@@ -18,7 +18,7 @@ from .ioutil import atomic_write_text, fmt17
 from .linalg import LinearSystem, lu_solve
 from .mesh import structured_mesh
 from .mms import DiscreteCase, default_mms, discrete_case, div_W
-from .slab import FIELDS, Discretization, SourceSet, TimeGrid, Trajectory, march
+from .slab import FIELDS, Discretization, SourceSet, TimeGrid, Trajectory, chunks, march
 from .spaces import interpolate_vector_field, project_scalar_field
 from .time_basis import gauss_lobatto_rule, gauss_rule, lagrange_basis
 
@@ -86,9 +86,10 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
     An absent field counts as zero.
 
     Each profile is evaluated once per point set (volume quadrature points,
-    boundary-edge points).  ``_profiles`` carries those values from one call
-    to the next: a caller that measures many stacks on the same ``disc``
-    passes one dict, which lives no longer than that caller's own call.
+    boundary-edge points), and at BDM_1 the h^2 term is one integral of the
+    exact profile.  ``_profiles`` carries those values from one call to the
+    next: a caller that measures many stacks on the same ``disc`` passes one
+    dict, which lives no longer than that caller's own call.
 
     Returns (S,) arrays of u_L2, u_DG, u_DG_no_h2, u_Uh, u_div, mrho_vw,
     w_Kinv, p_L2.
@@ -121,12 +122,20 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
     div_err = _on_points(bdm.volume.divs, local["u"]) - exact_at("div_u")
     div_sq = _integral(w, div_err * div_err)
 
-    sec = _on_points(bdm.volume_seconds, local["u"]) if bdm.degree >= 2 else 0.0
-    sec_err = sec - exact_at("second_u")
-    if np.isscalar(sec_err):
-        h2_sq = 0.0
+    h2_w = mesh.h_cell[:, None] ** 2 * w
+    if bdm.degree >= 2:
+        sec_err = _on_points(bdm.volume_seconds, local["u"]) - exact_at("second_u")
+        h2_sq = _integral(h2_w, sec_err * sec_err)
+    elif exact is not None and "second_u" in exact:
+        # BDM_1 has no discrete second derivatives, so the term is the exact
+        # field's own: its factors squared times one integral of its profile
+        factors, profile = exact["second_u"]
+        if (profile, "h2") not in profiles:
+            values = np.asarray(profile(pts))[..., None]
+            profiles[profile, "h2"] = _integral(h2_w, values * values)
+        h2_sq = factors ** 2 * profiles[profile, "h2"]
     else:
-        h2_sq = _integral(mesh.h_cell[:, None] ** 2 * w, sec_err * sec_err)
+        h2_sq = 0.0
 
     # tangential jumps of the displacement error over every edge; the exact
     # field is continuous, so it enters on boundary edges only
@@ -170,11 +179,6 @@ def _stacked_errors(disc: Discretization, case, values: dict[str, np.ndarray],
 _CHUNK = 8
 
 
-def _chunks(total: int, size: int) -> list[slice]:
-    """Consecutive slices of range(total), each at most ``size`` long."""
-    return [slice(a, min(a + size, total)) for a in range(0, total, size)]
-
-
 def _slab_times(grid: TimeGrid, positions: np.ndarray) -> np.ndarray:
     """Times at the local ``positions`` in [0, 1) of every slab, slab by slab,
     then the final time."""
@@ -215,7 +219,7 @@ def trajectory_errors(traj: Trajectory, case, l2_in_time: bool = True) -> dict[s
                              {f: np.einsum("ri,rid->rd", lagrange[rows],
                                            traj.coeffs[f][slab_of[rows]]) for f in FIELDS},
                              times[rows], profiles)
-             for rows in _chunks(times.size, _CHUNK)]
+             for rows in chunks(times.size, _CHUNK)]
     norms = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
     root_s0 = float(np.sqrt(traj.disc.params.s0))
@@ -265,7 +269,7 @@ def mass_conservation_audit(traj: Trajectory, sources: SourceSet) -> float:
         return _on_points(table, rows.reshape(len(rows), -1)[space.cell_dofs])
 
     worst = 0.0
-    for slabs in _chunks(grid.num_slabs, max(1, _CHUNK // k)):
+    for slabs in chunks(grid.num_slabs, max(1, _CHUNK // k)):
         terms = [prm.s0 * at_gauss_rows(dgp.volume.values, dgp, der_w, traj.coeffs["p"][slabs]),
                  prm.alpha * at_gauss_rows(bdm.volume.divs, bdm, der_w, traj.coeffs["u"][slabs]),
                  at_gauss_rows(bdm.volume.divs, bdm, val_w, traj.coeffs["w"][slabs])]

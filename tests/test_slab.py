@@ -123,7 +123,8 @@ def test_build_and_solve_single_slab(disc4, params):
     case = mms.discrete_case(disc4, 1, temporal="poly")
     grid = TimeGrid(0.5, 1)
     ops = SlabOperators(disc4, 1, grid.tau)
-    rhs = ops.rhs(ops.restrict_state(case.initial_state()), grid.endpoints[0], case.sources())
+    loads = ops._load_stack(case.sources(), grid.endpoints[0] + grid.tau * ops.gl_nodes)
+    rhs = ops.rhs(ops.restrict_state(case.initial_state()), loads)
     node = ops.solve(rhs)[:ops.block_size]
     exact = case.exact_state(grid.tau * gauss_rule(1).nodes[0])
     assert np.abs(node - ops.restrict_state(exact)).max() <= 1e-9
@@ -486,10 +487,24 @@ def test_march_determinism(disc4):
         assert np.array_equal(t1.coeffs[f], t2.coeffs[f])
 
 
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_chunked_loads_leave_the_march_unchanged(disc4, monkeypatch, chunk):
+    # the loads are evaluated per chunk of slabs; the left-end block and the
+    # predicted start must carry across the chunk boundaries, so a march of
+    # 19 slabs gives the same bits for every chunk length
+    case = mms.default_mms(disc4.params, omega=4.0)
+    grid = TimeGrid(0.5, 19)
+    default = march(disc4, 2, grid, case.initial_state(disc4), case.sources())
+    monkeypatch.setattr(slab, "_CHUNK", chunk)
+    chunked = march(disc4, 2, grid, case.initial_state(disc4), case.sources())
+    for f in ("u", "v", "w", "p"):
+        assert np.array_equal(chunked.coeffs[f], default.coeffs[f])
+
+
 @pytest.mark.parametrize("discrete", [False, True], ids=["projected", "discrete"])
 def test_first_slab_stores_the_initial_state(disc4, discrete):
-    # the march carries free-DOF blocks and stores their lift; both initial
-    # states have zero boundary-normal DOFs, so the lift loses nothing
+    # the march carries free-DOF blocks and writes them into the free DOFs;
+    # both initial states have zero boundary-normal DOFs, so nothing is lost
     case = mms.discrete_case(disc4, 2) if discrete else mms.default_mms(disc4.params)
     initial = case.initial_state(disc4)
     grid = TimeGrid(0.5, 2)

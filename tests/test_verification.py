@@ -203,6 +203,31 @@ def test_field_error_norms_stack_matches_single_calls(params_ell1):
             assert stacked[key][i] == pytest.approx(val[0], rel=1e-12), key
 
 
+def test_bdm1_h2_term_is_the_cached_profile_integral(params):
+    # BDM_1 has no discrete second derivatives, so the h^2 term is the exact
+    # field's own: its factors squared times one cached profile integral,
+    # against the quadrature of the scaled profile values at every sample
+    disc = Discretization(structured_mesh(3, 3), 0, params)
+    assert disc.bdm.degree == 1
+    case = mms.default_mms(params, omega=3.0)
+    rng = np.random.default_rng(7)
+    sizes = {"u": disc.bdm.ndofs, "v": disc.bdm.ndofs, "w": disc.bdm.ndofs,
+             "p": disc.dgp.ndofs}
+    coeffs = {f: rng.standard_normal((3, n)) for f, n in sizes.items()}
+    exact = case.exact_terms(np.array([0.0, 0.2, 0.45]))
+    factors, profile = exact["second_u"]
+    weights = disc.mesh.h_cell[:, None] ** 2 * disc.bdm.volume.weights
+    values = np.asarray(profile(disc.bdm.volume.points))[..., None] * factors
+    want = np.einsum("cq,cqabds->s", weights, values * values)
+
+    profiles = {}
+    norms = ver.field_error_norms(disc, coeffs, exact, _profiles=profiles)
+    assert (profile, "h2") in profiles and (profile, "volume") not in profiles
+    np.testing.assert_allclose(profiles[(profile, "h2")] * factors ** 2, want, rtol=1e-14)
+    np.testing.assert_allclose(norms["u_DG"], np.sqrt(norms["u_DG_no_h2"] ** 2 + want),
+                               rtol=1e-14)
+
+
 @pytest.mark.parametrize("kind", ["trig", "discrete"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_dropping_l2_in_time_changes_no_other_key(params, kind, k):
