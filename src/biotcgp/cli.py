@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import time_basis as tb
-from .assembly import PhysicalParams
+from .assembly import PhysicalParams, assemble_div_coupling
 from .ioutil import atomic_write_text, fmt17
 from .mesh import structured_mesh
 from .mms import default_mms
-from .slab import Discretization, TimeGrid, march, export_snapshots
-from .verification import (StudyResult, mass_conservation_audit, spatial_study,
-                           temporal_study, trajectory_errors)
+from .slab import Discretization, TimeGrid, export_snapshots
+from .spaces import build_space
+from .verification import StudyResult, march_case, spatial_study, temporal_study
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -156,10 +156,17 @@ def _summary(out_dir: str, checks: list[CheckResult]) -> int:
     return 0 if ok else 1
 
 
-def _final_eoc(result: StudyResult, column: str) -> float:
-    rates = result.rates()[column]
-    last = rates[-1]
-    return float("inf") if last is None else last
+def _eoc_check(name: str, result: StudyResult, column: str, bound: float) -> CheckResult:
+    """The study's final-level EOC of ``column`` against a lower bound; an
+    exactly resolved level counts as an infinite rate."""
+    last = result.rates()[column][-1]
+    rate = float("inf") if last is None else last
+    return CheckResult(name, rate >= bound, f"measured={rate:.3f} bound>={bound:.2f}")
+
+
+def _audit_check(audit: float) -> CheckResult:
+    return CheckResult("mass_conservation", audit <= 1e-9,
+                       f"measured={audit:.3e} bound<=1e-09")
 
 
 def run(cfg: RunConfig) -> int:
@@ -170,63 +177,43 @@ def run(cfg: RunConfig) -> int:
         seed = int(seed_env) if seed_env else cfg.seed
     except ValueError as exc:
         raise ConfigError(f"BIOT_SEED: cannot parse {seed_env!r} as int") from exc
-    params = cfg.params()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    checks: list[CheckResult] = []
+    return _summary(cfg.out_dir, _run_mode(cfg, cfg.params(), seed))
 
+
+def _run_mode(cfg: RunConfig, params: PhysicalParams, seed: int) -> list[CheckResult]:
+    """Run the configured mode, write its files and return its checks."""
     if cfg.mode == "time-study":
         counts = [cfg.base_slabs * 2 ** i for i in range(cfg.levels)]
         result = temporal_study(params, cfg.k, cfg.ell, counts, mesh_n=cfg.base_mesh,
                                 total_time=cfg.total_time, omega=cfg.omega)
         result.to_csv(os.path.join(cfg.out_dir, "study_time.csv"))
-        rate = _final_eoc(result, "combined_endpoint")
-        bound = cfg.k + 1 - 0.2
-        checks.append(CheckResult("temporal_eoc", rate >= bound,
-                                  f"measured={rate:.3f} bound>={bound:.2f}"))
-        audit = result.extras["mass_audit"]
-        checks.append(CheckResult("mass_conservation", audit <= 1e-9,
-                                  f"measured={audit:.3e} bound<=1e-09"))
-    elif cfg.mode == "space-study":
+        return [_eoc_check("temporal_eoc", result, "combined_endpoint", cfg.k + 1 - 0.2),
+                _audit_check(result.extras["mass_audit"])]
+    if cfg.mode == "space-study":
         sizes = [cfg.base_mesh * 2 ** i for i in range(cfg.levels)]
         result = spatial_study(params, cfg.ell, sizes, k=cfg.k,
                                n_slabs=cfg.base_slabs, total_time=cfg.total_time,
                                omega=cfg.omega)
         result.to_csv(os.path.join(cfg.out_dir, "study_space.csv"))
-        rate = _final_eoc(result, "combined_Linf")
-        bound = cfg.ell + 1 - 0.2
-        checks.append(CheckResult("spatial_eoc", rate >= bound,
-                                  f"measured={rate:.3f} bound>={bound:.2f}"))
-        rate_u = _final_eoc(result, "u_L2_Linf")
-        bound_u = cfg.ell + 2 - 0.2
-        checks.append(CheckResult("displacement_l2_eoc", rate_u >= bound_u,
-                                  f"measured={rate_u:.3f} bound>={bound_u:.2f}"))
         drift = result.extras.get("tau_halving_change", 0.0)
-        checks.append(CheckResult("temporal_subdominance", drift < 0.05,
-                                  f"measured={drift:.4f} bound<0.05"))
-        audit = result.extras["mass_audit"]
-        checks.append(CheckResult("mass_conservation", audit <= 1e-9,
-                                  f"measured={audit:.3e} bound<=1e-09"))
-    elif cfg.mode == "single-run":
-        mesh = structured_mesh(cfg.base_mesh, cfg.base_mesh)
-        disc = Discretization(mesh, cfg.ell, params)
+        return [_eoc_check("spatial_eoc", result, "combined_Linf", cfg.ell + 1 - 0.2),
+                _eoc_check("displacement_l2_eoc", result, "u_L2_Linf", cfg.ell + 2 - 0.2),
+                CheckResult("temporal_subdominance", drift < 0.05,
+                            f"measured={drift:.4f} bound<0.05"),
+                _audit_check(result.extras["mass_audit"])]
+    if cfg.mode == "single-run":
+        disc = Discretization(structured_mesh(cfg.base_mesh, cfg.base_mesh), cfg.ell, params)
         case = default_mms(params, cfg.omega)
         grid = TimeGrid(cfg.total_time, cfg.base_slabs)
-        sources = case.sources()
-        traj = march(disc, cfg.k, grid, case.initial_state(disc), sources)
-        snap_dir = os.path.join(cfg.out_dir, "snapshots")
-        export_snapshots(traj, snap_dir)
-        errs = trajectory_errors(traj, case)
+        traj, errs, audit = march_case(disc, case, cfg.k, grid, case.sources(),
+                                       l2_in_time=True)
+        export_snapshots(traj, os.path.join(cfg.out_dir, "snapshots"))
         table = [f"{key},{fmt17(val)}" for key, val in sorted(errs.items())]
         atomic_write_text(os.path.join(cfg.out_dir, "single_run_errors.csv"),
                           "name,value\n" + "\n".join(table) + "\n")
-        audit = mass_conservation_audit(traj, sources)
-        checks.append(CheckResult("mass_conservation", audit <= 1e-9,
-                                  f"measured={audit:.3e} bound<=1e-09"))
-    else:  # property-suite
-        checks.extend(_property_suite(cfg, seed))
-
-    status = _summary(cfg.out_dir, checks)
-    return status
+        return [_audit_check(audit)]
+    return _property_suite(cfg, seed)
 
 
 def _property_suite(cfg: RunConfig, seed: int) -> list[CheckResult]:
@@ -258,7 +245,6 @@ def _property_suite(cfg: RunConfig, seed: int) -> list[CheckResult]:
                               f"min_eig={min_eig:.4f} (k=1..4)"))
 
     rng = np.random.default_rng(seed)
-    from .spaces import build_space
     mesh = structured_mesh(3, 3)
     jump_worst = 0.0
     div_worst = 0.0
@@ -277,7 +263,6 @@ def _property_suite(cfg: RunConfig, seed: int) -> list[CheckResult]:
 
         pspace = build_space(mesh, "DGP", degree - 1)
         divq = space.divs_on_quadrature(coeffs)
-        from .assembly import assemble_div_coupling
         b = assemble_div_coupling(space, pspace, 1.0)
         diag = np.repeat(mesh.areas, pspace.element.dim)
         rep = pspace.values_on_quadrature((b.T @ coeffs) / diag)
@@ -320,7 +305,6 @@ def main(argv=None) -> int:
             cfg.ell = args.ell
         if args.levels is not None:
             cfg.levels = args.levels
-        cfg.validate()
         return run(cfg)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

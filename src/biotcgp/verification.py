@@ -23,7 +23,7 @@ from .spaces import interpolate_vector_field, project_scalar_field
 from .time_basis import gauss_lobatto_rule, gauss_rule, lagrange_basis
 
 __all__ = ["field_error_norms", "trajectory_errors",
-           "mass_conservation_audit", "projection_p1", "projection_p2",
+           "mass_conservation_audit", "march_case", "projection_p1", "projection_p2",
            "projection_p3", "eoc", "StudyResult", "temporal_study", "spatial_study",
            "projection_study"]
 
@@ -282,6 +282,15 @@ def mass_conservation_audit(traj: Trajectory, sources: SourceSet) -> float:
     return worst
 
 
+def march_case(disc: Discretization, case, k: int, grid: TimeGrid, sources: SourceSet,
+               l2_in_time: bool = False) -> tuple[Trajectory, dict[str, float], float]:
+    """March ``case`` on ``disc`` from its initial state and measure the run:
+    the trajectory, its ``trajectory_errors`` and its mass audit."""
+    traj = march(disc, k, grid, case.initial_state(disc), sources)
+    return (traj, trajectory_errors(traj, case, l2_in_time=l2_in_time),
+            mass_conservation_audit(traj, sources))
+
+
 # --- projection operators -------------------------------------------------------
 
 def projection_p1(disc: Discretization, value_fn, grad_fn) -> np.ndarray:
@@ -337,6 +346,14 @@ class StudyResult:
     columns: dict[str, list[float]] = field(default_factory=dict)
     extras: dict[str, float] = field(default_factory=dict)
 
+    def add_level(self, step: float, h: float, tau: float, values: dict[str, float]) -> None:
+        """Append one level: its refined quantity, h, tau and a value per column."""
+        self.steps.append(step)
+        self.h_values.append(h)
+        self.tau_values.append(tau)
+        for key, val in values.items():
+            self.columns.setdefault(key, []).append(val)
+
     def rates(self) -> dict[str, list[float | None]]:
         return {key: eoc(vals, self.steps) for key, vals in self.columns.items()}
 
@@ -363,6 +380,22 @@ class StudyResult:
 
 # --- study drivers ------------------------------------------------------------------
 
+def _march_levels(levels, case, sources: SourceSet, k: int,
+                  columns) -> tuple[StudyResult, Discretization | None]:
+    """One study row per level (step, h, disc, grid): ``march_case`` of
+    ``case`` and the error ``columns``; the worst audit of all levels goes to
+    ``extras["mass_audit"]``.  ``levels`` is consumed lazily, so a level is
+    built only once the one before it has been measured.  Returns the study
+    and the last level's discretization."""
+    result, worst, disc = StudyResult(), 0.0, None
+    for step, h, disc, grid in levels:
+        _, errs, audit = march_case(disc, case, k, grid, sources)
+        worst = max(worst, audit)
+        result.add_level(step, h, grid.tau, {key: errs[key] for key in columns})
+    result.extras["mass_audit"] = worst
+    return result, disc
+
+
 def temporal_study(params: asm.PhysicalParams, k: int, ell: int, slab_counts,
                    mesh_n: int = 4, total_time: float = 0.5,
                    omega: float = 4.0) -> StudyResult:
@@ -371,20 +404,11 @@ def temporal_study(params: asm.PhysicalParams, k: int, ell: int, slab_counts,
     disc = Discretization(mesh, ell, params)
     case = discrete_case(disc, k, "trig", omega)
     sources = case.sources()   # one SourceSet, so its term loads are integrated once
-    result = StudyResult()
-    audit_worst = 0.0
-    for n_slabs in slab_counts:
-        grid = TimeGrid(total_time, int(n_slabs))
-        traj = march(disc, k, grid, case.initial_state(), sources)
-        errs = trajectory_errors(traj, case, l2_in_time=False)
-        audit_worst = max(audit_worst, mass_conservation_audit(traj, sources))
-        result.steps.append(grid.tau)
-        result.h_values.append(1.0 / mesh_n)
-        result.tau_values.append(grid.tau)
-        for key in ("combined_endpoint", "u_Uh_Linf", "mrho_vw_Linf", "w_Kinv_Linf",
-                    "p_L2_Linf", "u_L2_Linf"):
-            result.columns.setdefault(key, []).append(errs[key])
-    result.extras["mass_audit"] = audit_worst
+    grids = (TimeGrid(total_time, int(n_slabs)) for n_slabs in slab_counts)
+    result, _ = _march_levels(((grid.tau, 1.0 / mesh_n, disc, grid) for grid in grids),
+                              case, sources, k,
+                              ("combined_endpoint", "u_Uh_Linf", "mrho_vw_Linf",
+                               "w_Kinv_Linf", "p_L2_Linf", "u_L2_Linf"))
     return result
 
 
@@ -394,37 +418,26 @@ def spatial_study(params: asm.PhysicalParams, ell: int, mesh_sizes, k: int = 2,
     """Convergence in h with the trigonometric solution and tau fixed small.
 
     The finest level is re-run with halved tau to verify the temporal error is
-    subdominant; the worst relative change is reported in ``extras``.
+    subdominant; the worst relative change is reported in ``extras``.  The
+    case and its sources serve every level: a ``FieldSource`` integrates its
+    loads once per target space, so once per level.
     """
-    result = StudyResult()
-    audit_worst = 0.0
-    last = None
-    for nx in mesh_sizes:
-        mesh = structured_mesh(int(nx), int(nx))
-        disc = Discretization(mesh, ell, params)
-        case = default_mms(params, omega)
-        grid = TimeGrid(total_time, n_slabs)
-        sources = case.sources()
-        traj = march(disc, k, grid, case.initial_state(disc), sources)
-        errs = trajectory_errors(traj, case, l2_in_time=False)
-        audit_worst = max(audit_worst, mass_conservation_audit(traj, sources))
-        result.steps.append(1.0 / nx)
-        result.h_values.append(1.0 / nx)
-        result.tau_values.append(grid.tau)
-        for key in ("combined_Linf", "u_Uh_Linf", "u_L2_Linf", "mrho_vw_Linf",
-                    "w_Kinv_Linf", "p_L2_Linf"):
-            result.columns.setdefault(key, []).append(errs[key])
-        last = (disc, case, sources, errs)
-    result.extras["mass_audit"] = audit_worst
-
-    if tau_check and last is not None:
-        disc, case, sources, errs = last
-        grid2 = TimeGrid(total_time, 2 * n_slabs)
-        traj2 = march(disc, k, grid2, case.initial_state(disc), sources)
+    case = default_mms(params, omega)
+    sources = case.sources()
+    grid = TimeGrid(total_time, n_slabs)
+    levels = ((1.0 / nx, 1.0 / nx,
+               Discretization(structured_mesh(int(nx), int(nx)), ell, params), grid)
+              for nx in mesh_sizes)
+    result, disc = _march_levels(levels, case, sources, k,
+                                 ("combined_Linf", "u_Uh_Linf", "u_L2_Linf",
+                                  "mrho_vw_Linf", "w_Kinv_Linf", "p_L2_Linf"))
+    if tau_check and disc is not None:
+        traj2 = march(disc, k, TimeGrid(total_time, 2 * n_slabs), case.initial_state(disc),
+                      sources)
         errs2 = trajectory_errors(traj2, case, l2_in_time=False)
-        rel = max(abs(errs2[key] - errs[key]) / errs[key]
-                  for key in ("combined_Linf", "u_L2_Linf"))
-        result.extras["tau_halving_change"] = rel
+        result.extras["tau_halving_change"] = max(
+            abs(errs2[key] - result.columns[key][-1]) / result.columns[key][-1]
+            for key in ("combined_Linf", "u_L2_Linf"))
     return result
 
 
@@ -433,12 +446,10 @@ def projection_study(params: asm.PhysicalParams, ell: int, mesh_sizes,
     """Measured orders of the three projection operators on the default
     fields at t = 0."""
     result = StudyResult()
+    case = default_mms(params, omega)
+    exact = case.exact_terms(np.zeros(1))
     for nx in mesh_sizes:
-        mesh = structured_mesh(int(nx), int(nx))
-        disc = Discretization(mesh, ell, params)
-        case = default_mms(params, omega)
-        exact = case.exact_terms(np.zeros(1))
-
+        disc = Discretization(structured_mesh(int(nx), int(nx)), ell, params)
         p1 = projection_p1(disc, case.at("u", 0.0), case.at("grad_u", 0.0))
         p2 = projection_p2(disc, case.at("w", 0.0))
         p3 = projection_p3(disc, case.at("p", 0.0))
@@ -451,15 +462,12 @@ def projection_study(params: asm.PhysicalParams, ell: int, mesh_sizes,
         norms_wp = field_error_norms(
             disc, {"u": p2[None], "v": zeros, "w": zeros, "p": p3[None]},
             {"u": exact["w"], "div_u": (exact["w"][0], div_W), "p": exact["p"]})
-
-        result.steps.append(1.0 / nx)
-        result.h_values.append(1.0 / nx)
-        result.tau_values.append(0.0)
-        for key, (norms, name) in (("u_p1_L2", (norms_u, "u_L2")),
-                                   ("u_p1_DG", (norms_u, "u_DG")),
-                                   ("u_p1_div", (norms_u, "u_div")),
-                                   ("w_p2_L2", (norms_wp, "u_L2")),
-                                   ("w_p2_div", (norms_wp, "u_div")),
-                                   ("p_p3_L2", (norms_wp, "p_L2"))):
-            result.columns.setdefault(key, []).append(float(norms[name][0]))
+        result.add_level(1.0 / nx, 1.0 / nx, 0.0, {
+            key: float(norms[name][0])
+            for key, (norms, name) in (("u_p1_L2", (norms_u, "u_L2")),
+                                       ("u_p1_DG", (norms_u, "u_DG")),
+                                       ("u_p1_div", (norms_u, "u_div")),
+                                       ("w_p2_L2", (norms_wp, "u_L2")),
+                                       ("w_p2_div", (norms_wp, "u_div")),
+                                       ("p_p3_L2", (norms_wp, "p_L2")))})
     return result

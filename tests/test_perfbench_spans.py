@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from biotcgp import mms, verification as ver
+from biotcgp.cli import RunConfig, run
 from biotcgp.mesh import structured_mesh
 from biotcgp.slab import Discretization, TimeGrid, export_snapshots, march
 
@@ -98,3 +99,24 @@ def test_tracer_sees_every_snapshot_file_and_one_tabulation(monkeypatch, params,
     assert names.count("io.format") == len(paths) == 2 * (grid.num_slabs + 1)
     assert names.count("io.write") == len(paths)
     assert names.count("spaces.tabulate_at") == 1
+
+
+@pytest.mark.parametrize("mode", ["time-study", "space-study", "single-run"])
+def test_tracer_sees_every_layer_of_the_cli_march_modes(monkeypatch, tmp_path, mode):
+    # the benchmark's layer table reads these spans from a traced cli.run; a
+    # runner that bound a traced function where the tracer cannot replace it
+    # (a default argument, a local alias) would lose its span unnoticed
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    cfg = RunConfig(mode=mode, k=1, levels=2, base_mesh=2, base_slabs=2, out_dir=str(tmp_path))
+    tracer = Tracer()
+    tracer.call("cli.run", run, cfg)
+
+    names = {span[0] for span in tracer.spans}
+    expected = {"spaces.build", "assembly.operators", "slab.solve", "linalg.factor",
+                "verification.errors", "verification.audit"}
+    if mode == "single-run":
+        expected.add("io.format")
+    assert expected <= names
+    assert 0.0 < tracer.metrics()["verification.audit_max"] <= 1e-9

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from biotcgp import assembly as asm, mms, spaces as sps, verification as ver
-from biotcgp.mesh import structured_mesh
-from biotcgp.slab import Discretization, SlabState, SourceSet, TimeGrid, march
+from biotcgp.mesh import refine_uniform, structured_mesh
+from biotcgp.slab import FIELDS, Discretization, SlabState, SourceSet, TimeGrid, march
 from biotcgp.time_basis import gauss_lobatto_rule, gauss_rule, lagrange_basis
 from sampling import sample_error_norms
 
@@ -249,7 +249,9 @@ def test_dropping_l2_in_time_changes_no_other_key(params, kind, k):
 
 def test_profile_values_do_not_outlive_the_call(monkeypatch, params):
     """Exact profile values are kept for one call only: no discretization may
-    stay reachable once trajectory_errors or projection_study returns."""
+    stay reachable once trajectory_errors or a study returns.  The spatial
+    study builds its levels one at a time, so no more than the previous and
+    the current level are alive when it builds one."""
     disc = Discretization(structured_mesh(2, 2), 0, params)
     case = mms.default_mms(params)
     traj = march(disc, 2, TimeGrid(0.5, 2), case.initial_state(disc), case.sources())
@@ -259,18 +261,50 @@ def test_profile_values_do_not_outlive_the_call(monkeypatch, params):
     gc.collect()
     assert alive() is None
 
-    built = []
+    built, alive_at_build = [], []
 
     def tracked(*args, **kwargs):
         made = Discretization(*args, **kwargs)
         built.append(weakref.ref(made))
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in built))
         return made
 
     monkeypatch.setattr(ver, "Discretization", tracked)
-    ver.projection_study(params, ell=0, mesh_sizes=[2, 4])
-    gc.collect()
-    assert len(built) == 2
-    assert all(ref() is None for ref in built)
+    studies = {"projection": (2, lambda: ver.projection_study(params, ell=0, mesh_sizes=[2, 4])),
+               "temporal": (1, lambda: ver.temporal_study(params, k=1, ell=0,
+                                                          slab_counts=[2, 4], mesh_n=2)),
+               "spatial": (3, lambda: ver.spatial_study(params, ell=0, mesh_sizes=[2, 3, 4],
+                                                        k=1, n_slabs=2))}
+    for name, (levels, study) in studies.items():
+        built.clear()
+        alive_at_build.clear()
+        study()
+        gc.collect()
+        assert len(built) == levels, name
+        assert all(ref() is None for ref in built), name
+    assert alive_at_build == [1, 2, 2]
+
+
+@pytest.mark.parametrize("l2_in_time", [False, True])
+@pytest.mark.parametrize("mesh", [structured_mesh(6, 2), refine_uniform(structured_mesh(2, 2))],
+                         ids=["anisotropic", "refined"])
+def test_march_case_is_march_errors_and_audit(params, mesh, l2_in_time):
+    """march_case gives bit for bit what march, trajectory_errors and
+    mass_conservation_audit give when called one by one, here on a 3:1
+    anisotropic grid and on a uniformly refined one, and the audit holds."""
+    disc = Discretization(mesh, 0, params)
+    case = mms.default_mms(params)
+    grid = TimeGrid(0.5, 3)
+    sources = case.sources()
+    traj, errs, audit = ver.march_case(disc, case, 2, grid, sources, l2_in_time=l2_in_time)
+
+    ref = march(disc, 2, grid, case.initial_state(disc), sources)
+    for name in FIELDS:
+        np.testing.assert_array_equal(traj.coeffs[name], ref.coeffs[name])
+    assert errs == ver.trajectory_errors(ref, case, l2_in_time=l2_in_time)
+    assert audit == ver.mass_conservation_audit(ref, sources)
+    assert audit <= 1e-9
 
 
 def test_studies_sample_only_where_they_report(monkeypatch, params):
