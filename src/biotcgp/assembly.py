@@ -296,12 +296,14 @@ def _integrate(space: FunctionSpace, values: np.ndarray) -> np.ndarray:
                            (space.cell_dofs, _moments(tab.weights, values, tab.values)))
 
 
-def assemble_load(space: FunctionSpace, source: FieldSource,
-                  t: float | np.ndarray) -> np.ndarray:
+def assemble_load(space: FunctionSpace, source: FieldSource, t: float | np.ndarray,
+                  out: np.ndarray | None = None, dofs=slice(None)) -> np.ndarray:
     """Right-hand side vector of a source at time t: the sum of each term's
     cached load vector times its time factor.  At a 1-D array of times, one
-    row per time, (len(t), ndofs)."""
-    rhs = np.zeros(np.shape(t) + (space.ndofs,))
+    row per time, (len(t), ndofs).  Given ``out``, the load's ``dofs``
+    columns are added into it term by term, with no full-DOF temporary."""
+    if out is None:
+        out = np.zeros(np.shape(t) + (space.ndofs,))
     for (factor, _), load in zip(source.terms, source.term_loads(space)):
-        rhs += np.multiply.outer(factor(t), load)
-    return rhs
+        out += np.multiply.outer(factor(t), load[dofs])
+    return out

@@ -18,17 +18,18 @@ true one, and the refinement below recovers full accuracy in a second step.
 A ``LinearSystem`` is bordered by equality-constraint rows and holds its
 whole right-hand side in one vector, the load followed by one constraint
 value per row; a plain system has a border of zero rows and takes the same
-path.  The rows are not folded into the sparse matrix: dense multiplier
-rows poison the ordering, so they are eliminated through a small dense
-Schur complement on top of the factored inner matrix.  The inner
-factorization is pluggable: the slab solver passes one that solves the
-coupled stage system through decoupled per-stage LUs.  Every bordered solve
-takes at least one step of iterative refinement against the bordered matrix
-itself, x += F(b - Kx), which gives componentwise backward stability for
-Gaussian elimination in working precision (Skeel 1980) and absorbs the
-rounding of an ill-conditioned inner transform.  It takes further steps, up
-to MAX_REFINEMENT_STEPS, while the residual it refined from exceeded the
-residual contract, and stops as soon as a step fails to shrink the residual.
+path, which skips the products of an empty border.  The rows are not folded
+into the sparse matrix: dense multiplier rows poison the ordering, so they
+are eliminated through a small dense Schur complement on top of the
+factored inner matrix.  The inner factorization is pluggable: the slab
+solver passes one that solves the coupled stage system through decoupled
+per-stage LUs.  Every bordered solve takes at least one step of iterative
+refinement against the bordered matrix itself, x += F(b - Kx), which gives
+componentwise backward stability for Gaussian elimination in working
+precision (Skeel 1980) and absorbs the rounding of an ill-conditioned inner
+transform.  It takes further steps, up to MAX_REFINEMENT_STEPS, while the
+residual it refined from exceeded the residual contract, and stops as soon
+as a step fails to shrink the residual.
 A caller that can predict the solution passes it as a start: the solve then
 takes exactly one refinement step from it and skips the elimination of b.
 That is sound only with an exact factor, so a caller drops its start where
@@ -47,6 +48,7 @@ import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
+from typing import Protocol
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +61,14 @@ RESIDUAL_TOL = 1e-10
 ZERO_RHS_TOL = 1e-12
 MAX_REFINEMENT_STEPS = 10
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+
+
+class Operator(Protocol):
+    """A square matrix applied through ``@`` without being stored."""
+
+    shape: tuple[int, int]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray: ...
 
 
 class SolverError(RuntimeError):
@@ -74,14 +84,15 @@ class LinearSystem:
     """Square system A bordered by equality-constraint rows C:
     [[A, C^T], [C, 0]] (x, lam) = rhs.
 
-    ``matrix`` A is sparse or an operator with ``@`` and ``.shape``.  ``rhs``
+    ``matrix`` A is sparse or any operator with ``@`` and ``.shape``, as the
+    slab solver's ``SlabMatrix``, which is never assembled.  ``rhs``
     is the whole bordered right-hand side, the load followed by one constraint
     value per row of C, and the solved vector carries the primary unknowns
     followed by one Lagrange multiplier per row.  Without constraint rows the
     border is (0, n) and the system is A x = rhs, on the same code path.
     """
 
-    matrix: sp.spmatrix | spla.LinearOperator
+    matrix: sp.spmatrix | Operator
     rhs: np.ndarray
     constraint_rows: np.ndarray | None = None
 
@@ -100,17 +111,25 @@ class LinearSystem:
     def residual(self, solution: np.ndarray) -> float:
         """Relative residual of the bordered system."""
         b = self.rhs
-        num = np.linalg.norm(_bordered_matvec(self.matrix, self.constraint_rows, solution) - b)
+        r = _bordered_matvec(self.matrix, self.constraint_rows, solution)
+        num = np.linalg.norm(np.subtract(r, b, out=r))
         den = np.linalg.norm(b)
         return num / den if den > 0.0 else num
 
 
-def _bordered_matvec(matrix: sp.spmatrix | spla.LinearOperator, c: np.ndarray,
+def _bordered_matvec(matrix: sp.spmatrix | Operator, c: np.ndarray,
                      solution: np.ndarray) -> np.ndarray:
-    """[[A, C^T], [C, 0]] @ (x, lam)."""
+    """[[A, C^T], [C, 0]] @ (x, lam), written into one vector; A x for an
+    empty border."""
     n = matrix.shape[0]
     x, lam = solution[:n], solution[n:]
-    return np.concatenate([matrix @ x + c.T @ lam, c @ x])
+    if not len(c):
+        return matrix @ x
+    out = np.empty(len(solution))
+    np.matmul(c.T, lam, out=out[:n])
+    out[:n] += matrix @ x
+    np.matmul(c, x, out=out[n:])
+    return out
 
 
 def _structural_zero_row(a: sp.spmatrix) -> int:
@@ -185,15 +204,20 @@ class BorderedFactor:
             self.z[:, j] = self.inner.solve(row)
         schur = -self.c @ self.z            # [[A C^T],[C 0]] elimination
         try:
-            self.schur = np.linalg.inv(schur)
+            self.schur = np.linalg.inv(schur) if len(schur) else schur
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"constraint Schur complement singular: {exc}") from exc
 
     def _eliminate(self, rhs: np.ndarray) -> np.ndarray:
         n = self.c.shape[1]
         y = self.inner.solve(rhs[:n])
-        lam = self.schur @ (rhs[n:] - self.c @ y)
-        return np.concatenate([y - self.z @ lam, lam])
+        if not len(self.c):
+            return y
+        out = np.empty(len(rhs))
+        lam = out[n:]
+        np.matmul(self.schur, rhs[n:] - self.c @ y, out=lam)
+        np.subtract(y, self.z @ lam, out=out[:n])
+        return out
 
     def solve(self, rhs: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
         """Bordered solve refined against the bordered matrix.
@@ -208,17 +232,20 @@ class BorderedFactor:
         checks the result and falls back to the solve without a start."""
         rhs = np.asarray(rhs, dtype=float)
         if start is not None:
-            return start + self._eliminate(rhs - _bordered_matvec(self.matrix, self.c, start))
+            r = _bordered_matvec(self.matrix, self.c, start)
+            x = self._eliminate(np.subtract(rhs, r, out=r))
+            x += start
+            return x
         bound = RESIDUAL_TOL * np.linalg.norm(rhs)
         x = self._eliminate(rhs)
         previous = np.inf
         for step in range(MAX_REFINEMENT_STEPS):
-            r = rhs - _bordered_matvec(self.matrix, self.c, x)
-            norm = np.linalg.norm(r)
+            r = _bordered_matvec(self.matrix, self.c, x)
+            norm = np.linalg.norm(np.subtract(rhs, r, out=r))
             if not norm < previous:
                 raise SolverError(f"iterative refinement diverged at step {step}: residual "
                                   f"{norm:.3e} after {previous:.3e}")
-            x = x + self._eliminate(r)
+            x += self._eliminate(r)
             if norm <= bound:
                 break
             previous = norm

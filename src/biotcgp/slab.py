@@ -16,7 +16,10 @@ Those are factorized once per slab length and reused while marching; the
 bordered solve refines against the coupled matrix, which absorbs the
 conditioning of the eigenvector transform.  That matrix is never assembled:
 the refinement and the residual contract apply it through its Kronecker
-factors on the (k, block) view of the stage unknowns.
+factors on the (k, block) view of the stage unknowns (``SlabMatrix``).  T
+and S are held once, stacked as [T; S], so one sparse product per node
+gives both: a slab costs one stage solve and 2k+1 sparse products, k in
+each of its two matvecs and one of T in its right-hand side.
 
 The trial space is continuous and piecewise polynomial, so a finished slab's
 degree-k polynomial, extrapolated to the next slab's Gauss nodes, predicts
@@ -43,7 +46,6 @@ from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import assembly as asm
 from .linalg import (BorderedFactor, LinearSystem, lu_factor, lu_solve, serial_blas,
@@ -169,33 +171,40 @@ class Discretization:
         return diag
 
     @cached_property
-    def time_derivative_block(self) -> sp.csr_matrix:
-        """T of the slab system T y' + S y = F on the free DOFs, unknowns and
-        rows ordered (u, v, w, p).  It and ``stationary_block`` depend on
-        neither the slab length nor the order, so every slab operator of this
-        discretization shares them."""
+    def slab_blocks(self) -> sp.csr_matrix:
+        """[T; S], (2 block, block): the time-derivative block T over the
+        stationary block S of the slab system T y' + S y = F on the free DOFs,
+        unknowns and rows of each ordered (u, v, w, p).  It depends on neither
+        the slab length nor the order, so every slab operator of this
+        discretization shares it, and one product gives T x and S x."""
         p = self.params
-        free = self.bdm.free
-        mf = self.mass_bdm[np.ix_(free, free)]
-        baf = self.div_u_alpha[free, :]
-        return sp.bmat([
-            [None, p.rho_bar * mf, p.rho_f * mf, None],
-            [mf, None, None, None],
-            [None, p.rho_f * mf, p.rho_w * mf, None],
-            [baf.T, None, None, p.s0 * self.mass_p]], format="csr")
-
-    @cached_property
-    def stationary_block(self) -> sp.csr_matrix:
-        """S of the slab system, in the layout of ``time_derivative_block``."""
         free = self.bdm.free
         af, mf, mkf = (m[np.ix_(free, free)]
                        for m in (self.elasticity, self.mass_bdm, self.mass_kinv))
         b1f, baf = self.div_w[free, :], self.div_u_alpha[free, :]
-        return sp.bmat([
+        t_block = sp.bmat([
+            [None, p.rho_bar * mf, p.rho_f * mf, None],
+            [mf, None, None, None],
+            [None, p.rho_f * mf, p.rho_w * mf, None],
+            [baf.T, None, None, p.s0 * self.mass_p]], format="csr")
+        s_block = sp.bmat([
             [af, None, None, -baf],
             [None, -mf, None, None],
             [None, None, mkf, -b1f],
             [None, None, b1f.T, None]], format="csr")
+        # one bmat of all eight block rows would hold the COO copies of both
+        # blocks at once, a larger transient than this copy of the two
+        return sp.vstack([t_block, s_block], format="csr")
+
+    @cached_property
+    def time_derivative_block(self) -> sp.csr_matrix:
+        """T, the top rows of ``slab_blocks``, sharing its memory."""
+        return _row_block(self.slab_blocks, 0)
+
+    @cached_property
+    def stationary_block(self) -> sp.csr_matrix:
+        """S, the bottom rows of ``slab_blocks``, sharing its memory."""
+        return _row_block(self.slab_blocks, 1)
 
     def div_coefficients(self, coeffs: np.ndarray, matrix: sp.csr_matrix | None = None) -> np.ndarray:
         """Coefficients of div(field) in the pressure space (exact when the
@@ -218,13 +227,43 @@ class Discretization:
         return load - np.multiply.outer(total / area, self.p_volume)
 
 
-def _apply_slab(dt_weights: np.ndarray, mass_weights: np.ndarray, t_block: sp.spmatrix,
-                s_block: sp.spmatrix, tau: float, x: np.ndarray) -> np.ndarray:
-    """(dt_weights ⊗ T + tau mass_weights ⊗ S) x on the (k, block) view of x."""
-    nodes = x.reshape(dt_weights.shape[0], -1)
-    tx = np.stack([t_block @ xj for xj in nodes])
-    sx = np.stack([s_block @ xj for xj in nodes])
-    return (dt_weights @ tx + tau * (mass_weights @ sx)).ravel()
+def _row_block(blocks: sp.csr_matrix, index: int) -> sp.csr_matrix:
+    """Square block ``index`` of the rows of a stacked CSR matrix, holding
+    views of its data and indices (scipy's constructor and row slicing would
+    copy them)."""
+    n = blocks.shape[1]
+    lo, hi = blocks.indptr[index * n], blocks.indptr[(index + 1) * n]
+    block = sp.csr_matrix((n, n), dtype=blocks.dtype)
+    block.data, block.indices = blocks.data[lo:hi], blocks.indices[lo:hi]
+    block.indptr = blocks.indptr[index * n:(index + 1) * n + 1] - lo
+    return block
+
+
+class SlabMatrix:
+    """The coupled slab matrix dt_weights ⊗ T + tau mass_weights ⊗ S, applied
+    on the (k, block) view of the stage unknowns and never assembled.
+
+    One product of the stacked block [T; S] per node gives T x_j and S x_j
+    together, so a product costs k sparse products.  It holds only the
+    Kronecker factors, not the slab operators that own it.
+    """
+
+    def __init__(self, dt_weights: np.ndarray, mass_weights: np.ndarray,
+                 blocks: sp.csr_matrix, tau: float):
+        self.dt_weights, self.mass_weights, self.blocks, self.tau = (
+            dt_weights, mass_weights, blocks, tau)
+        k, n = dt_weights.shape[0], blocks.shape[1]
+        self.shape = (k * n, k * n)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        nodes = x.reshape(len(self.dt_weights), -1)
+        # T x_j, then S x_j, per node j; allocated per call, as a buffer held
+        # for the march would add to its peak memory
+        products = np.empty((2,) + nodes.shape)
+        for j, xj in enumerate(nodes):
+            products[:, j] = (self.blocks @ xj).reshape(2, -1)
+        tx, sx = products
+        return (self.dt_weights @ tx + self.tau * (self.mass_weights @ sx)).ravel()
 
 
 class GaussStages:
@@ -235,14 +274,15 @@ class GaussStages:
     (lam_j T + tau S) y_j = ((B V)^-1 ⊗ I) b.  D is real, so only the
     eigenvalues with Im lam >= 0 are factorized: a real one gives a real LU,
     and the stage of a conjugate partner is the conjugate of the solved one,
-    so the pair enters x as twice the real part.  Holds no reference to the
-    slab operators that own its factor.  ``pivots_raised`` tells whether
-    ``lu_factor`` raised a tiny pivot of any stage matrix, which leaves the
-    inverse accurate to sqrt(eps) only.
+    so the pair enters x as twice the real part.  Built from a ``SlabMatrix``
+    and holds no reference to it or to the slab operators that own its
+    factor.  ``pivots_raised`` tells whether ``lu_factor`` raised a tiny pivot
+    of any stage matrix, which leaves the inverse accurate to sqrt(eps) only.
     """
 
-    def __init__(self, dt_weights: np.ndarray, mass_weights: np.ndarray,
-                 t_block: sp.spmatrix, s_block: sp.spmatrix, tau: float):
+    def __init__(self, matrix: SlabMatrix):
+        dt_weights, mass_weights, tau = matrix.dt_weights, matrix.mass_weights, matrix.tau
+        t_block, s_block = (_row_block(matrix.blocks, index) for index in (0, 1))
         lam, vecs = np.linalg.eig(np.linalg.solve(mass_weights, dt_weights))
         lam, vecs = lam.astype(complex), vecs.astype(complex)
         keep = np.flatnonzero(lam.imag >= 0.0)
@@ -256,9 +296,10 @@ class GaussStages:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         stages = self.to_stage @ rhs.reshape(self.from_stage.shape[0], -1)
-        y = np.array([lu.solve(c.real if real else c)
-                      for lu, c, real in zip(self.lus, stages, self.real)])
-        return (self.from_stage @ y).real.ravel()
+        solved = np.empty(stages.shape, dtype=complex)
+        for y, lu, c, real in zip(solved, self.lus, stages, self.real):
+            y[:] = lu.solve(c.real if real else c)
+        return (self.from_stage @ solved).real.ravel()
 
 
 # Slabs whose source loads are evaluated together.  The loads of a whole march
@@ -295,14 +336,10 @@ class SlabOperators:
         self.theta_src = g.weights[:, None] * basis_gl.eval_all(g.nodes)    # (k, k+1)
         self.gl_nodes = gauss_lobatto_rule(k).nodes
 
-        # the coupled matrix is applied through its Kronecker factors, never
-        # assembled; the matvec and the stage solver hold these, not self, so
-        # no cycle keeps the operators and their LUs alive
-        self._kronecker = (self.theta_dt[:, 1:], self.theta_mass[:, 1:],
-                           disc.time_derivative_block, disc.stationary_block, self.tau)
-        n = k * self.block_size
-        self.inner_matrix = spla.LinearOperator(
-            (n, n), matvec=partial(_apply_slab, *self._kronecker), dtype=float)
+        # neither the matrix nor its stage solver holds self, so no cycle
+        # keeps the operators and their LUs alive
+        self.inner_matrix = SlabMatrix(self.theta_dt[:, 1:], self.theta_mass[:, 1:],
+                                       disc.slab_blocks, self.tau)
         # one zero-mean multiplier per trial node; kept out of the sparse
         # factorization (dense rows poison the ordering)
         self.constraint_rows = np.kron(np.eye(k), np.concatenate(
@@ -314,11 +351,12 @@ class SlabOperators:
                                state.w[self.free], state.p])
 
     def _load_stack(self, sources: SourceSet, times: np.ndarray) -> np.ndarray:
-        """Free-DOF source blocks at each of the times, (len(times), block)."""
+        """Free-DOF source blocks at each of the times, (len(times), block);
+        the f and g loads are accumulated in their columns."""
         disc, n = self.disc, self.n_bdm
         out = np.zeros((len(times), self.block_size))
-        out[:, :n] = asm.assemble_load(disc.bdm, sources.f, times)[:, self.free]
-        out[:, 2 * n:3 * n] = asm.assemble_load(disc.bdm, sources.g, times)[:, self.free]
+        asm.assemble_load(disc.bdm, sources.f, times, out[:, :n], self.free)
+        asm.assemble_load(disc.bdm, sources.g, times, out[:, 2 * n:3 * n], self.free)
         out[:, 3 * n:] = disc.pressure_load(sources.mass, times)
         return out
 
@@ -327,11 +365,13 @@ class SlabOperators:
         block ``x0``, given its source blocks at its Gauss-Lobatto times
         (``_load_stack`` rows, (k+1, block)): k node loads, then k zero-mean
         values."""
+        rhs = np.zeros(self.k * (self.block_size + 1))
+        nodes = rhs[:-self.k].reshape(self.k, -1)
+        np.matmul(self.tau * self.theta_src, loads, out=nodes)
         # the left-end value enters through the time derivative only: the G0
         # node-0 basis vanishes at every Gauss node, so theta_mass[:, 0] == 0
-        tx0 = self.disc.time_derivative_block @ x0
-        nodes = self.tau * self.theta_src @ loads - np.outer(self.theta_dt[:, 0], tx0)
-        return np.concatenate([nodes.ravel(), np.zeros(self.k)])
+        nodes -= np.outer(self.theta_dt[:, 0], self.disc.time_derivative_block @ x0)
+        return rhs
 
     def solve(self, rhs: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
         """Stage values and multipliers of one slab.  ``start``, a prediction
@@ -339,7 +379,7 @@ class SlabOperators:
         step from it then replaces the elimination of ``rhs``."""
         system = LinearSystem(self.inner_matrix, rhs, self.constraint_rows)
         if self._factor is None:
-            self._factor = BorderedFactor(system, lambda _: GaussStages(*self._kronecker))
+            self._factor = BorderedFactor(system, GaussStages)
         if self._factor.inner.pivots_raised:
             start = None
         return lu_solve(system, self._factor, start)
@@ -410,28 +450,33 @@ def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
     do not depend on the solution, are evaluated for ``_CHUNK`` slabs at a
     time."""
     ops = SlabOperators(disc, k, grid.tau)
-    bs, nb, npp = ops.block_size, disc.bdm.ndofs, disc.dgp.ndofs
-    # the u, v and w rows fill the free DOFs; the constrained ones stay zero
-    dofs = {"u": ops.free, "v": ops.free, "w": ops.free, "p": slice(None)}
+    bs, nb, npp, nf = ops.block_size, disc.bdm.ndofs, disc.dgp.ndofs, ops.n_bdm
     coeffs = {f: np.zeros((grid.num_slabs, k + 1, nb if f != "p" else npp))
               for f in FIELDS}
     traj = Trajectory(grid, k, disc, coeffs)
+    # (a field's rows per slab, flattened; the positions of its DOFs in them;
+    # its columns of the block): the u, v and w rows fill the free DOFs, and
+    # the constrained ones stay zero
+    free = (nb * np.arange(k + 1)[:, None] + ops.free).ravel()
+    layout = [(coeffs[f].reshape(grid.num_slabs, -1), free, slice(i * nf, (i + 1) * nf))
+              for i, f in enumerate(FIELDS[:3])]
+    layout.append((coeffs["p"].reshape(grid.num_slabs, -1), slice(None), slice(3 * nf, bs)))
     # G0 basis of one slab at the next slab's Gauss nodes, (k, k+1)
     ahead = lagrange_basis("G0", k).eval_all(1.0 + gauss_rule(k).nodes)
-    x0, start = ops.restrict_state(initial), None
+    known = np.empty((k + 1, bs))    # the slab's left-end block, then its stage values
+    known[0], start = ops.restrict_state(initial), None
     # the stage factorizations and solves run on one BLAS thread (linalg module doc)
     with serial_blas():
         for chunk in chunks(grid.num_slabs, _CHUNK):
             times = grid.endpoints[chunk, None] + grid.tau * ops.gl_nodes
             loads = ops._load_stack(sources, times.ravel()).reshape(times.shape + (bs,))
             for n, slab_loads in zip(range(chunk.start, chunk.stop), loads):
-                x = ops.solve(ops.rhs(x0, slab_loads), start)
-                known = np.vstack([x0, x[:k * bs].reshape(k, bs)])
+                x = ops.solve(ops.rhs(known[0], slab_loads), start)
+                known[1:] = x[:k * bs].reshape(k, bs)
                 start = np.concatenate([(ahead @ known).ravel(), x[k * bs:]])
-                fields = np.split(known, np.arange(1, 4) * ops.n_bdm, axis=1)
-                for fname, values in zip(FIELDS, fields):
-                    coeffs[fname][n][:, dofs[fname]] = values
-                x0 = np.einsum("i,id->d", traj.end_weights, known)
+                for values, dofs, cols in layout:
+                    values[n, dofs] = known[:, cols].ravel()
+                known[0] = np.einsum("i,id->d", traj.end_weights, known)
     return traj
 
 

@@ -141,6 +141,22 @@ def test_empty_border_is_the_plain_system(rng):
                           lu_solve(LinearSystem(a, b, np.zeros((0, 20)))))
 
 
+def test_empty_border_does_no_border_work(rng, monkeypatch):
+    # a plain system skips the 0x0 Schur inverse and the zero-size products of
+    # its border: the elimination is the inner solve and the matvec A x
+    def no_inverse(matrix):
+        raise AssertionError("inverted an empty Schur complement")
+    monkeypatch.setattr(linalg.np.linalg, "inv", no_inverse)
+    m = rng.standard_normal((20, 20))
+    a = sp.csr_matrix(m @ m.T + 20 * np.eye(20))
+    b = rng.standard_normal(20)
+    factor = BorderedFactor(LinearSystem(a, b))
+    assert np.array_equal(factor._eliminate(b), factor.inner.solve(b))
+    assert np.array_equal(linalg._bordered_matvec(a, factor.c, b), a @ b)
+    x = lu_solve(LinearSystem(a, b), factor)
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
 def test_constraint_rows_enforced():
     # minimize-like saddle: pin the solution mean to zero
     a = sp.csr_matrix(np.diag([1.0, 2.0, 4.0]))

@@ -145,15 +145,23 @@ def test_inner_operator_matches_assembled_kronecker(params, rng, k, ell):
     assert not sp.issparse(ops.inner_matrix)
     assert ops.inner_matrix.shape == (n, n)
     reference = _assembled_inner(ops)
+    t_block, s_block = disc.time_derivative_block, disc.stationary_block
     for _ in range(2):
         x = rng.standard_normal(n)
         want = reference @ x
-        assert np.linalg.norm(ops.inner_matrix @ x - want) <= 1e-14 * np.linalg.norm(want)
+        got = ops.inner_matrix @ x
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        # one [T; S] product per node gives the bits of separate T and S products
+        nodes = x.reshape(k, -1)
+        separate = (ops.theta_dt[:, 1:] @ np.stack([t_block @ xj for xj in nodes])
+                    + ops.tau * (ops.theta_mass[:, 1:] @ np.stack([s_block @ xj for xj in nodes])))
+        assert np.array_equal(got, separate.ravel())
 
 
 def test_slab_blocks_built_once_per_discretization(params, monkeypatch):
     # T and S depend on neither tau nor k: operators of several slab lengths
-    # and orders share the two blocks of their discretization
+    # and orders share the one stacked block [T; S] of their discretization,
+    # and T and S are views of its rows, so one copy of them is resident
     built = []
     bmat = slab.sp.bmat
 
@@ -163,10 +171,22 @@ def test_slab_blocks_built_once_per_discretization(params, monkeypatch):
     monkeypatch.setattr(slab.sp, "bmat", recording)
     disc = Discretization(structured_mesh(2, 2), 0, params)
     ops = [SlabOperators(disc, k, tau) for k, tau in ((1, 0.1), (2, 0.1), (2, 0.05))]
-    assert len(built) == 2
     for o in ops:
-        assert o._kronecker[2] is disc.time_derivative_block
-        assert o._kronecker[3] is disc.stationary_block
+        o.solve(np.ones(o.inner_matrix.shape[0] + o.k))
+    assert len(built) == 2
+    blocks = disc.slab_blocks
+    n = blocks.shape[1]
+    assert blocks.shape == (2 * n, n)
+    for o in ops:
+        assert o.inner_matrix.blocks is blocks
+    for block, rows in ((disc.time_derivative_block, slice(0, n)),
+                        (disc.stationary_block, slice(n, 2 * n))):
+        assert np.shares_memory(block.data, blocks.data)
+        assert np.shares_memory(block.indices, blocks.indices)
+        want = blocks[rows]
+        assert block.shape == (n, n) and block.has_canonical_format
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, attr), getattr(want, attr))
 
 
 def test_slab_operators_freed_without_the_collector(disc4, monkeypatch):
@@ -187,6 +207,51 @@ def test_slab_operators_freed_without_the_collector(disc4, monkeypatch):
         assert len(refs) == 1 and refs[0]() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_march_makes_2k_plus_1_block_products_per_slab(disc4, monkeypatch, k):
+    # per slab: one product of T for the right-hand side, and one product of
+    # the stacked [T; S] per node in each of the two coupled matvecs (the
+    # refinement step and the residual check)
+    case = mms.default_mms(disc4.params, omega=4.0)
+    initial, sources = case.initial_state(disc4), case.sources()
+    blocks, t_block = disc4.slab_blocks, disc4.time_derivative_block
+    products = []
+    matmul = sp.csr_matrix.__matmul__
+
+    def recording(matrix, other):
+        products.append("[T; S]" if matrix is blocks else "T" if matrix is t_block else "other")
+        return matmul(matrix, other)
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", recording)
+    grid = TimeGrid(0.5, 5)
+    march(disc4, k, grid, initial, sources)
+    assert len(products) == grid.num_slabs * (2 * k + 1)
+    assert products.count("[T; S]") == grid.num_slabs * 2 * k
+    assert products.count("T") == grid.num_slabs
+
+
+def test_load_stack_is_the_free_columns_of_the_full_loads(disc4):
+    # the f and g loads are accumulated in their free columns only, term by
+    # term in the order of the full-DOF loads, so the bits do not move
+    case = mms.default_mms(disc4.params, omega=4.0)
+    sources = case.sources()
+    ops = SlabOperators(disc4, 2, 0.1)
+    times = np.linspace(0.0, 0.5, 7)
+    stack = ops._load_stack(sources, times)
+    n, free = ops.n_bdm, ops.free
+
+    def full_load(source):
+        full = np.zeros((len(times), disc4.bdm.ndofs))
+        for (factor, _), load in zip(source.terms, source.term_loads(disc4.bdm)):
+            full += np.multiply.outer(factor(times), load)
+        return full
+    assert len(sources.f.terms) > 2 and len(sources.g.terms) > 2
+    assert np.array_equal(stack[:, :n], full_load(sources.f)[:, free])
+    assert not stack[:, n:2 * n].any()
+    assert np.array_equal(stack[:, 2 * n:3 * n], full_load(sources.g)[:, free])
+    assert np.array_equal(stack[:, 3 * n:], disc4.pressure_load(sources.mass, times))
+    assert np.abs(stack[:, 3 * n:]).max() > 0.0
 
 
 # --- decoupled stage solves -----------------------------------------------------------
