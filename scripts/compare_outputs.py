@@ -10,8 +10,9 @@ workload it prints whether the ``output_digest``s of the two trees are equal
 on every seed, the output checks that failed on either side, and the worst
 reference deviation of each side as a fraction of its tolerance (> 1 fails).
 Where the digests differ, it lists the output files, by relative path, whose
-bytes differ on the first such seed.  The trees are only read; the exit status
-is 1 if any check failed.
+bytes differ on the first such seed, and the largest relative change of any
+CSV cell over all seeds, with its file, column and seed.  The trees are only
+read; the exit status is 1 if any check failed.
 """
 
 import hashlib
@@ -45,6 +46,44 @@ def _file_hashes(out_dir: str) -> dict[str, str]:
     return hashes
 
 
+def _csv_tables(out_dir: str) -> dict[str, dict[str, list[str]]]:
+    """Every CSV output file as columns of cell strings, keyed by its path
+    relative to ``out_dir``."""
+    import workloads
+
+    return {os.path.relpath(os.path.join(root, name), out_dir):
+            workloads.read_csv(os.path.join(root, name))
+            for root, _, files in os.walk(out_dir) for name in files if name.endswith(".csv")}
+
+
+def _relative_change(old: str, new: str) -> float:
+    """|new - old| / |old| of two CSV cells; 0 for equal text, inf where a
+    differing cell is not a number or the old value is 0."""
+    if old == new:
+        return 0.0
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+
+
+def _largest_csv_change(old: dict, new: dict) -> tuple[float, str]:
+    """Largest relative change of any cell between two runs' ``_csv_tables``,
+    and where: 'file:column', the file alone when its columns or rows differ,
+    or '' when no cell changed."""
+    worst = (0.0, "")
+    for path in old.keys() | new.keys():
+        before, after = old.get(path, {}), new.get(path, {})
+        if sorted(before) != sorted(after) or any(len(before[c]) != len(after[c]) for c in before):
+            return math.inf, path
+        for column, cells in before.items():
+            change = max(map(_relative_change, cells, after[column]), default=0.0)
+            if change > worst[0]:
+                worst = change, f"{path}:{column}"
+    return worst
+
+
 def _run_workload(name: str, seed: int) -> dict:
     import workloads
     from biotcgp.linalg import SolverError
@@ -56,7 +95,7 @@ def _run_workload(name: str, seed: int) -> dict:
             workload.execute(inputs, out_dir)
         except SolverError:  # a failed solve is a failed check, as in the benchmark
             return {"digest": None, "failed": ["SolverError"],
-                    "deviation": math.inf, "files": {}}
+                    "deviation": math.inf, "files": {}, "csv": {}}
         checks = workloads.check_outputs(workload, inputs, seed, out_dir)
         with open(workloads.REFERENCE_PATH, encoding="utf-8") as handle:
             reference = json.load(handle)[name][str(seed % workloads.PARAM_SETS)]
@@ -68,7 +107,8 @@ def _run_workload(name: str, seed: int) -> dict:
         return {"digest": workloads.output_digest(out_dir),
                 "failed": [check.name for check in checks if not check.passed],
                 "deviation": deviation,
-                "files": _file_hashes(out_dir)}
+                "files": _file_hashes(out_dir),
+                "csv": _csv_tables(out_dir)}
 
 
 def child(root: str, *args: str) -> None:
@@ -87,11 +127,15 @@ def main(old: str, new: str) -> int:
     print(f"{'workload':12s} {'digests equal':>14s}  worst deviation old -> new  failed checks")
     for name in names:
         equal, worst, failed, differing = 0, {"old": 0.0, "new": 0.0}, [], None
+        largest = (0.0, "", None)    # relative CSV change, where, seed
         for seed in SEEDS:
             runs = {side: json.loads(_child(root, name, str(seed))) for side, root in roots.items()}
             digest = runs["old"]["digest"]
             same = digest is not None and digest == runs["new"]["digest"]
             equal += same
+            if not same:
+                change, where = _largest_csv_change(runs["old"]["csv"], runs["new"]["csv"])
+                largest = max(largest, (change, where, seed), key=lambda item: item[0])
             if not same and differing is None:
                 old_files, new_files = runs["old"]["files"], runs["new"]["files"]
                 differing = seed, sorted(path for path in old_files.keys() | new_files.keys()
@@ -105,6 +149,9 @@ def main(old: str, new: str) -> int:
         if differing is not None:
             seed, paths = differing
             print(f"{'':12s} seed {seed} differs in: {' '.join(paths) or 'no file (a run failed)'}")
+            change, where, seed = largest
+            print(f"{'':12s} largest relative CSV cell change: {change:.3g}"
+                  + (f" in {where} (seed {seed})" if where else ""))
     return 1 if any_failed else 0
 
 

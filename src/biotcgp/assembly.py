@@ -18,9 +18,9 @@ import scipy.sparse as sp
 
 from .spaces import FunctionSpace
 
-__all__ = ["PhysicalParams", "FieldSource", "assemble_mass",
-           "assemble_div_coupling", "assemble_elasticity", "assemble_elasticity_rhs",
-           "assemble_load"]
+__all__ = ["PhysicalParams", "FieldSource", "assemble_mass", "assemble_gram",
+           "assemble_broken_h1", "assemble_div_coupling", "assemble_elasticity",
+           "assemble_elasticity_rhs", "assemble_load"]
 
 
 def _spd_2x2(k: np.ndarray) -> bool:
@@ -163,15 +163,41 @@ def assemble_mass(space: FunctionSpace, weight) -> sp.csr_matrix:
     if np.isscalar(weight):
         if weight <= 0:
             raise ValueError("mass weight must be positive")
-        local = weight * _gram(tab.weights, tab.values)
-    else:
-        w = np.asarray(weight, dtype=float)
-        if w.shape != (2, 2) or not _spd_2x2(w):
-            raise ValueError("tensor mass weight must be symmetric positive definite")
-        if space.family != "BDM":
-            raise ValueError("tensor weights require a vector space")
-        local = _gram(tab.weights, tab.values, tab.values @ w.T)
-    return _scatter((space.ndofs, space.ndofs), (space.cell_dofs, space.cell_dofs, local))
+        return assemble_gram(space, weight * tab.weights, tab.values)
+    w = np.asarray(weight, dtype=float)
+    if w.shape != (2, 2) or not _spd_2x2(w):
+        raise ValueError("tensor mass weight must be symmetric positive definite")
+    if space.family != "BDM":
+        raise ValueError("tensor weights require a vector space")
+    return assemble_gram(space, tab.weights, tab.values, tab.values @ w.T)
+
+
+def assemble_gram(space: FunctionSpace, weights: np.ndarray, left: np.ndarray,
+                  right: np.ndarray | None = None) -> sp.csr_matrix:
+    """Sum over the cells of the local ``_gram(weights, left, right)`` of
+    volume tables of ``space`` (values, gradients, divergences, second
+    derivatives)."""
+    return _scatter((space.ndofs, space.ndofs),
+                    (space.cell_dofs, space.cell_dofs, _gram(weights, left, right)))
+
+
+def assemble_broken_h1(space: FunctionSpace) -> sp.csr_matrix:
+    """Gram matrix of the broken H1 seminorm plus the h_e^{-1}-weighted
+    tangential jumps over every edge: an interior edge over the union of its
+    two cells' DOFs, a boundary edge one-sided.  The h_e of ds and the
+    h_e^{-1} weight cancel, so each edge is weighted by the reference rule."""
+    tab, tr, mesh = space.volume, space.edge_traces, space.mesh
+    tangents = (tr.normals @ np.array([[0.0, 1.0], [-1.0, 0.0]]))[:, None, :, None]
+    tang0 = tr.values0 @ tangents                               # (edges, nq, nd, 1)
+    interior, boundary = tr.interior, np.flatnonzero(mesh.boundary_edge)
+    union = space.cell_dofs[mesh.edge_cells[interior]].reshape(interior.size, -1)
+    jump = np.concatenate([tang0[interior], -(tr.values1 @ tangents[interior])], axis=2)
+    one_sided = space.cell_dofs[mesh.edge_cells[boundary, 0]]
+    edge_weights = tr.s_weights[None, :]                        # the same on every edge
+    return _scatter((space.ndofs, space.ndofs),
+                    (space.cell_dofs, space.cell_dofs, _gram(tab.weights, tab.grads)),
+                    (union, union, _gram(edge_weights, jump)),
+                    (one_sided, one_sided, _gram(edge_weights, tang0[boundary])))
 
 
 def assemble_div_coupling(space_from: FunctionSpace, space_p: FunctionSpace,

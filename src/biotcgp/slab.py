@@ -156,6 +156,29 @@ class Discretization:
     def mass_p(self) -> sp.csr_matrix:
         return asm.assemble_mass(self.dgp, 1.0)
 
+    # Gram matrices of the displacement error norms, for errors that are
+    # coefficient vectors (``verification.field_error_norms`` with no exact
+    # field); the slab systems use none of them.
+    @cached_property
+    def gram_broken_h1(self) -> sp.csr_matrix:
+        """Broken H1 seminorm plus the h_e^{-1}-weighted tangential jumps."""
+        return asm.assemble_broken_h1(self.bdm)
+
+    @cached_property
+    def gram_div(self) -> sp.csr_matrix:
+        """L2 norm of the divergence, computed in the BDM space itself; the
+        pressure-space ``div_coefficients`` are exact only for a
+        div-compatible pairing."""
+        tab = self.bdm.volume
+        return asm.assemble_gram(self.bdm, tab.weights, tab.divs)
+
+    @cached_property
+    def gram_h2(self) -> sp.csr_matrix:
+        """h_K^2-weighted broken H2 seminorm; BDM degree >= 2 only (BDM_1 has
+        no second derivatives)."""
+        weights = self.mesh.h_cell[:, None] ** 2 * self.bdm.volume.weights
+        return asm.assemble_gram(self.bdm, weights, self.bdm.volume_seconds)
+
     @cached_property
     def p_volume(self) -> np.ndarray:
         """Load vector of the constant 1 against the pressure basis."""
@@ -283,8 +306,9 @@ class GaussStages:
     def __init__(self, matrix: SlabMatrix):
         dt_weights, mass_weights, tau = matrix.dt_weights, matrix.mass_weights, matrix.tau
         t_block, s_block = (_row_block(matrix.blocks, index) for index in (0, 1))
+        # eig returns real arrays when every eigenvalue is real (k = 1), and
+        # then the stage solve builds no complex array
         lam, vecs = np.linalg.eig(np.linalg.solve(mass_weights, dt_weights))
-        lam, vecs = lam.astype(complex), vecs.astype(complex)
         keep = np.flatnonzero(lam.imag >= 0.0)
         self.real = lam.imag[keep] == 0.0
         self.to_stage = np.linalg.inv(mass_weights @ vecs)[keep]
@@ -296,7 +320,7 @@ class GaussStages:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         stages = self.to_stage @ rhs.reshape(self.from_stage.shape[0], -1)
-        solved = np.empty(stages.shape, dtype=complex)
+        solved = np.empty(stages.shape, dtype=stages.dtype)
         for y, lu, c, real in zip(solved, self.lus, stages, self.real):
             y[:] = lu.solve(c.real if real else c)
         return (self.from_stage @ solved).real.ravel()

@@ -4,7 +4,9 @@ The mesh-dependent displacement norm combines the broken H1 seminorm, the
 h_e^{-1}-weighted tangential jumps over all edges, the h_K^2-weighted broken
 H2 seminorm, and (for the full graph norm) the divergence; the combined error
 measure adds the density-weighted velocity/flux norm, the K^{-1/2} flux norm,
-and the sqrt(s0)-scaled pressure norm.
+and the sqrt(s0)-scaled pressure norm.  Errors that are themselves discrete
+fields are measured as quadratic forms of the coefficients with Gram matrices;
+errors against an analytic field, by quadrature.
 """
 
 from __future__ import annotations
@@ -45,16 +47,16 @@ def _on_points(table: np.ndarray, local: np.ndarray) -> np.ndarray:
     return out.transpose(sorted(range(len(order)), key=order.__getitem__) + [table.ndim - 1])
 
 
-def _exact_values(exact: dict | None, name: str, points: np.ndarray, where: str,
+def _exact_values(exact: dict, name: str, points: np.ndarray, where: str,
                   profiles: dict):
     """Exact field ``name`` of every sample at the ``where`` point set (..., 2):
-    its profile times the per-sample factors; (..., *comp, S).  0.0 when there
-    is no exact solution or the name is absent.
+    its profile times the per-sample factors; (..., *comp, S).  0.0 when the
+    name is absent.
 
     The profile values are kept in ``profiles`` under (profile, where), so a
     profile shared by several fields, or met again on a later call with the
     same dict, is evaluated once per point set."""
-    if exact is None or name not in exact:
+    if name not in exact:
         return 0.0
     factors, profile = exact[name]
     key = (profile, where)
@@ -74,26 +76,73 @@ def _integral(weights: np.ndarray, integrand: np.ndarray) -> np.ndarray:
     return columns.reshape(-1, integrand.shape[-1]).sum(axis=0)
 
 
+def _norms(u_l2_sq, dg_no_h2_sq, h2_sq, div_sq, mrho_sq, wk_sq, p_sq) -> dict[str, np.ndarray]:
+    """The ``field_error_norms`` dict from its squared parts, each (S,)."""
+    dg_sq = dg_no_h2_sq + h2_sq
+    return {
+        "u_L2": np.sqrt(u_l2_sq),
+        "u_DG": np.sqrt(dg_sq),
+        "u_DG_no_h2": np.sqrt(dg_no_h2_sq),
+        "u_Uh": np.sqrt(dg_sq + div_sq),
+        "u_div": np.sqrt(div_sq),
+        "mrho_vw": np.sqrt(mrho_sq),
+        "w_Kinv": np.sqrt(wk_sq),
+        "p_L2": np.sqrt(p_sq),
+    }
+
+
+def _coefficient_norms(disc: Discretization,
+                       coeffs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``field_error_norms`` of coefficient stacks (S, ndofs) that are the
+    errors themselves: each squared norm is the quadratic form c^T G c of a
+    Gram matrix G of ``disc``, per sample.  A semidefinite G (divergence, h^2)
+    can give a rounding-level negative square, which is read as 0."""
+    prm = disc.params
+    # one sample per column, in the C order that the sparse products read
+    u, v, w, p = (np.ascontiguousarray(np.asarray(coeffs[f]).T) for f in FIELDS)
+
+    def form(gram, x, y=None):
+        """y_s^T G x_s for every sample column s; ``y`` defaults to ``x``."""
+        return np.einsum("ds,ds->s", x if y is None else y, gram @ x)
+
+    def square(gram):
+        return np.maximum(form(gram, u), 0.0)
+
+    mass = disc.mass_bdm
+    return _norms(form(mass, u), form(disc.gram_broken_h1, u),
+                  square(disc.gram_h2) if disc.bdm.degree >= 2 else 0.0,
+                  square(disc.gram_div),
+                  form(mass, v, prm.rho_bar * v + prm.rho_f * w)
+                  + form(mass, w, prm.rho_f * v + prm.rho_w * w),
+                  form(disc.mass_kinv, w), form(disc.mass_p, p))
+
+
 def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
                       exact: dict | None = None, *,
                       _profiles: dict | None = None) -> dict[str, np.ndarray]:
     """Norms of (discrete field - exact field) for a stack of S samples.
 
-    ``coeffs[f]`` is (S, ndofs).  ``exact`` maps a field name (u, v, w, p,
-    grad_u, div_u, second_u) to a separable exact field: per-sample factors
-    (S,) and a profile of points (..., 2).  It is None to measure the
-    discrete fields themselves (used when the error is a coefficient vector).
-    An absent field counts as zero.
+    ``coeffs[f]`` is (S, ndofs).  ``exact`` None means the fields are
+    themselves the errors (a ``DiscreteCase``'s coefficient differences):
+    every norm is then an exact quadratic form of the coefficients with a
+    Gram matrix of ``disc`` (``_coefficient_norms``).
 
-    Each profile is evaluated once per point set (volume quadrature points,
-    boundary-edge points), and at BDM_1 the h^2 term is one integral of the
-    exact profile.  ``_profiles`` carries those values from one call to the
-    next: a caller that measures many stacks on the same ``disc`` passes one
-    dict, which lives no longer than that caller's own call.
+    Otherwise the norms are quadrature sums of the difference at the
+    quadrature points.  ``exact`` maps a field name (u, v, w, p, grad_u,
+    div_u, second_u) to a separable exact field: per-sample factors (S,) and a
+    profile of points (..., 2).  An absent field counts as zero, so ``{}``
+    measures the discrete fields themselves by quadrature.  Each profile is
+    evaluated once per point set (volume quadrature points, boundary-edge
+    points), and at BDM_1 the h^2 term is one integral of the exact profile.
+    ``_profiles`` carries those values from one call to the next: a caller
+    that measures many stacks on the same ``disc`` passes one dict, which
+    lives no longer than that caller's own call.
 
     Returns (S,) arrays of u_L2, u_DG, u_DG_no_h2, u_Uh, u_div, mrho_vw,
     w_Kinv, p_L2.
     """
+    if exact is None:
+        return _coefficient_norms(disc, coeffs)
     bdm, dgp = disc.bdm, disc.dgp
     prm = disc.params
     mesh = disc.mesh
@@ -126,7 +175,7 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
     if bdm.degree >= 2:
         sec_err = _on_points(bdm.volume_seconds, local["u"]) - exact_at("second_u")
         h2_sq = _integral(h2_w, sec_err * sec_err)
-    elif exact is not None and "second_u" in exact:
+    elif "second_u" in exact:
         # BDM_1 has no discrete second derivatives, so the term is the exact
         # field's own: its factors squared times one integral of its profile
         factors, profile = exact["second_u"]
@@ -149,17 +198,7 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
     # the h_e from ds and the h_e^{-1} weight cancel
     jump_sq = np.einsum("q,eqs->s", tr.s_weights, jt * jt)
 
-    dg_sq = h1_sq + jump_sq + h2_sq
-    return {
-        "u_L2": np.sqrt(u_l2_sq),
-        "u_DG": np.sqrt(dg_sq),
-        "u_DG_no_h2": np.sqrt(h1_sq + jump_sq),
-        "u_Uh": np.sqrt(dg_sq + div_sq),
-        "u_div": np.sqrt(div_sq),
-        "mrho_vw": np.sqrt(mrho_sq),
-        "w_Kinv": np.sqrt(wk_sq),
-        "p_L2": np.sqrt(p_sq),
-    }
+    return _norms(u_l2_sq, h1_sq + jump_sq, h2_sq, div_sq, mrho_sq, wk_sq, p_sq)
 
 
 def _stacked_errors(disc: Discretization, case, values: dict[str, np.ndarray],
@@ -389,7 +428,8 @@ def _march_levels(levels, case, sources: SourceSet, k: int,
     and the last level's discretization."""
     result, worst, disc = StudyResult(), 0.0, None
     for step, h, disc, grid in levels:
-        _, errs, audit = march_case(disc, case, k, grid, sources)
+        # the trajectory is dropped at once, not held through the next march
+        errs, audit = march_case(disc, case, k, grid, sources)[1:]
         worst = max(worst, audit)
         result.add_level(step, h, grid.tau, {key: errs[key] for key in columns})
     result.extras["mass_audit"] = worst

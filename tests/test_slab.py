@@ -287,6 +287,9 @@ def test_stage_solve_matches_coupled_direct_solve(params, rng, monkeypatch, k, e
     # of one spatial block, built once for all solves
     assert ([matrix.shape for matrix, _ in calls]
             == [(ops.block_size, ops.block_size)] * ((k + 1) // 2))
+    # only k = 1 has no conjugate pair, and there the stage transforms stay real
+    stages = ops._factor.inner
+    assert np.isrealobj(stages.to_stage) == np.isrealobj(stages.from_stage) == (k == 1)
 
 
 def test_stage_lus_keep_diagonal_pivots_and_low_fill(params, rng, monkeypatch):

@@ -228,6 +228,40 @@ def test_bdm1_h2_term_is_the_cached_profile_integral(params):
                                rtol=1e-14)
 
 
+FORM_MESHES = {"structured": structured_mesh(3, 3),
+               "refined": refine_uniform(structured_mesh(2, 2)),
+               "anisotropic": structured_mesh(6, 2)}
+
+
+@pytest.mark.parametrize("mesh_name, ell, vector_degree",
+                         [(name, ell, None) for name in FORM_MESHES for ell in (0, 1)]
+                         + [("structured", 0, 2)])
+def test_quadratic_form_norms_match_quadrature(mesh_name, ell, vector_degree):
+    """With no exact field, field_error_norms measures coefficient stacks as
+    quadratic forms of Gram matrices; ``exact={}`` measures the same stacks by
+    quadrature.  Random stacks, boundary DOFs included, agreed to 7.5e-16
+    relative over these cases (bound 1e-14).  Smooth fields' interpolants
+    lose digits to cancellation in the semidefinite h^2 Gram of BDM_2: 2.4e-13
+    in u_DG on the anisotropic mesh at ell = 1 (bound 1e-12), growing like
+    1/h^2 (1.2e-12 on 8x8, 7.2e-12 on 16x16)."""
+    params = asm.PhysicalParams(eta=16.0) if ell else asm.PhysicalParams()
+    disc = Discretization(FORM_MESHES[mesh_name], ell, params, vector_degree=vector_degree)
+    rng = np.random.default_rng(11)
+    sizes = {f: disc.dgp.ndofs if f == "p" else disc.bdm.ndofs for f in FIELDS}
+    random = {f: rng.standard_normal((4, n)) for f, n in sizes.items()}
+    assert np.abs(random["u"][:, disc.bdm.constrained]).min() > 0.0
+    smooth = {f: np.array([sps.interpolate_vector_field(disc.bdm, mms.U),
+                           sps.interpolate_vector_field(disc.bdm, mms.W)])
+              for f in ("u", "v", "w")}
+    smooth["p"] = np.array([sps.project_scalar_field(disc.dgp, mms.P)] * 2)
+    for coeffs, bound in ((random, 1e-14), (smooth, 1e-12)):
+        forms = ver.field_error_norms(disc, coeffs)
+        quadrature = ver.field_error_norms(disc, coeffs, {})
+        assert sorted(forms) == sorted(quadrature)
+        for key, want in quadrature.items():
+            np.testing.assert_allclose(forms[key], want, rtol=bound, atol=0.0, err_msg=key)
+
+
 @pytest.mark.parametrize("kind", ["trig", "discrete"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_dropping_l2_in_time_changes_no_other_key(params, kind, k):
@@ -284,6 +318,25 @@ def test_profile_values_do_not_outlive_the_call(monkeypatch, params):
         assert len(built) == levels, name
         assert all(ref() is None for ref in built), name
     assert alive_at_build == [1, 2, 2]
+
+
+def test_study_levels_drop_their_trajectory_before_the_next_march(monkeypatch, params):
+    """No level's trajectory is alive while the next level marches.  Held
+    through the last march of the temporal benchmark workload, the 64-slab
+    trajectory (2.2 MB) raised that run's peak memory."""
+    made, alive = [], []
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        traj = march(*args, **kwargs)
+        made.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(ver, "march", tracked)
+    ver.temporal_study(params, k=1, ell=0, slab_counts=[2, 4, 8], mesh_n=2)
+    ver.spatial_study(params, ell=0, mesh_sizes=[2, 3], k=1, n_slabs=2, tau_check=False)
+    assert alive == [0] * 5
 
 
 @pytest.mark.parametrize("l2_in_time", [False, True])
