@@ -7,8 +7,8 @@ A march of N slabs costs about fixed + N * per_slab.  The script times
 marches of 16 and 128 slabs of ``discrete_case`` (trig factors, ell = 0,
 T = 0.5) on an N x N mesh, the minimum of ``--repeats`` runs each, and
 reports the slope between them as the per-slab cost and the intercept as the
-fixed cost (stage factorizations, Schur columns, first-slab solve).  On a
-noisy host the minimum and the slope isolate the per-slab layer.
+fixed cost (stage factorizations, first-slab solve).  On a noisy host the
+minimum and the slope isolate the per-slab layer.
 
 The kernel floor is what a slab cannot avoid: one stage solve, 2k products
 of the stacked slab block [T; S] (one per Gauss node in each of the two
@@ -67,7 +67,7 @@ def main():
     rng = np.random.default_rng(0)
     ops = SlabOperators(disc, k, TOTAL_TIME / SLABS[1])
     n = k * ops.block_size
-    ops.solve(rng.standard_normal(n + k))          # builds the stage factorization
+    ops.solve(rng.standard_normal(n))              # builds the stage factorization
     stages = ops._factor.inner
     t_block = disc.time_derivative_block
     stacked = sp.vstack([t_block, disc.stationary_block], format="csr")

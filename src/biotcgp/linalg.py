@@ -15,27 +15,21 @@ it is raised to sqrt(eps) of the update those neighbours would bring before
 factoring.  The factor is then that of a matrix within sqrt(eps) of the
 true one, and the refinement below recovers full accuracy in a second step.
 
-A ``LinearSystem`` is bordered by equality-constraint rows and holds its
-whole right-hand side in one vector, the load followed by one constraint
-value per row; a plain system has a border of zero rows and takes the same
-path, which skips the products of an empty border.  The rows are not folded
-into the sparse matrix: dense multiplier rows poison the ordering, so they
-are eliminated through a small dense Schur complement on top of the
-factored inner matrix.  The inner factorization is pluggable: the slab
-solver passes one that solves the coupled stage system through decoupled
-per-stage LUs.  Every bordered solve takes at least one step of iterative
-refinement against the bordered matrix itself, x += F(b - Kx), which gives
-componentwise backward stability for Gaussian elimination in working
-precision (Skeel 1980) and absorbs the rounding of an ill-conditioned inner
-transform.  It takes further steps, up to MAX_REFINEMENT_STEPS, while the
-residual it refined from exceeded the residual contract, and stops as soon
-as a step fails to shrink the residual.
+The inner factorization is pluggable: the slab solver passes one that
+solves the coupled stage system through decoupled per-stage LUs.  Every
+solve takes at least one step of iterative refinement against the system's
+matrix itself, x += F(b - Ax), which gives componentwise backward stability
+for Gaussian elimination in working precision (Skeel 1980) and absorbs the
+rounding of an ill-conditioned inner transform.  It takes further steps, up
+to MAX_REFINEMENT_STEPS, while the residual it refined from exceeded the
+residual contract, and stops as soon as a step fails to shrink the residual.
 A caller that can predict the solution passes it as a start: the solve then
 takes exactly one refinement step from it and skips the elimination of b.
 That is sound only with an exact factor, so a caller drops its start where
-``tiny_pivots`` were raised; and if the step misses the residual contract,
-``lu_solve`` solves again without it.  Every solve enforces that contract,
-so callers can rely on the solution quality.
+its pivots are too small against their columns (``pivot_ratios``); and if
+the step misses the residual contract, ``lu_solve`` solves again without
+it.  Every solve enforces that contract, so callers can rely on the
+solution quality.
 
 ``serial_blas`` runs a block with every loaded OpenBLAS pool on one thread:
 the stage systems are too small for a second BLAS thread to pay, and its
@@ -54,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolverError", "LinearSystem", "tiny_pivots", "lu_factor", "BorderedFactor",
+__all__ = ["SolverError", "LinearSystem", "pivot_ratios", "lu_factor", "BorderedFactor",
            "lu_solve", "dense_min_eig_sym", "serial_blas"]
 
 RESIDUAL_TOL = 1e-10
@@ -81,55 +75,29 @@ class SolverError(RuntimeError):
 
 @dataclass
 class LinearSystem:
-    """Square system A bordered by equality-constraint rows C:
-    [[A, C^T], [C, 0]] (x, lam) = rhs.
+    """Square system A x = rhs.
 
     ``matrix`` A is sparse or any operator with ``@`` and ``.shape``, as the
-    slab solver's ``SlabMatrix``, which is never assembled.  ``rhs``
-    is the whole bordered right-hand side, the load followed by one constraint
-    value per row of C, and the solved vector carries the primary unknowns
-    followed by one Lagrange multiplier per row.  Without constraint rows the
-    border is (0, n) and the system is A x = rhs, on the same code path.
+    slab solver's ``SlabMatrix``, which is never assembled.
     """
 
     matrix: sp.spmatrix | Operator
     rhs: np.ndarray
-    constraint_rows: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.constraint_rows is None:
-            self.constraint_rows = np.zeros((0, self.matrix.shape[1]))
 
     def check(self) -> None:
-        a, m = self.matrix, len(self.constraint_rows)
+        a = self.matrix
         if a.shape[0] != a.shape[1]:
             raise SolverError(f"matrix is not square: {a.shape}")
-        if len(self.rhs) != a.shape[0] + m:
-            raise SolverError(f"rhs length {len(self.rhs)} does not match {a.shape} "
-                              f"plus {m} constraint rows")
+        if len(self.rhs) != a.shape[0]:
+            raise SolverError(f"rhs length {len(self.rhs)} does not match {a.shape}")
 
     def residual(self, solution: np.ndarray) -> float:
-        """Relative residual of the bordered system."""
+        """Relative residual ||A x - b|| / ||b|| (absolute for b = 0)."""
         b = self.rhs
-        r = _bordered_matvec(self.matrix, self.constraint_rows, solution)
+        r = self.matrix @ solution
         num = np.linalg.norm(np.subtract(r, b, out=r))
         den = np.linalg.norm(b)
         return num / den if den > 0.0 else num
-
-
-def _bordered_matvec(matrix: sp.spmatrix | Operator, c: np.ndarray,
-                     solution: np.ndarray) -> np.ndarray:
-    """[[A, C^T], [C, 0]] @ (x, lam), written into one vector; A x for an
-    empty border."""
-    n = matrix.shape[0]
-    x, lam = solution[:n], solution[n:]
-    if not len(c):
-        return matrix @ x
-    out = np.empty(len(solution))
-    np.matmul(c.T, lam, out=out[:n])
-    out[:n] += matrix @ x
-    np.matmul(c, x, out=out[n:])
-    return out
 
 
 def _structural_zero_row(a: sp.spmatrix) -> int:
@@ -138,22 +106,23 @@ def _structural_zero_row(a: sp.spmatrix) -> int:
     return int(empty[0]) if empty.size else -1
 
 
-def tiny_pivots(matrix: sp.spmatrix) -> np.ndarray:
-    """Mask of the nonzero diagonal entries below SQRT_EPS times their
-    column's largest entry: the pivots ``lu_factor`` raises before factoring."""
+def pivot_ratios(matrix: sp.spmatrix) -> np.ndarray:
+    """|a_jj| over the largest |a_ij| of column j, 0 for an empty column."""
     csc = sp.csc_matrix(matrix)
     size = np.abs(csc.diagonal())
     colmax = np.zeros_like(size)
     filled = np.diff(csc.indptr) > 0
     colmax[filled] = np.maximum.reduceat(np.abs(csc.data), csc.indptr[:-1][filled])
-    return (size > 0.0) & (size < SQRT_EPS * colmax)
+    return np.divide(size, colmax, out=np.zeros_like(size), where=colmax > 0.0)
 
 
 def _floor_tiny_pivots(csc: sp.csc_matrix) -> sp.csc_matrix:
-    """Raise each of the ``tiny_pivots`` to SQRT_EPS times the update its
-    neighbours would bring, sum_j |a_ij a_ji / a_jj|, keeping its phase
-    (Li & Demmel's tiny-pivot replacement with a local scale)."""
-    tiny = tiny_pivots(csc)
+    """Raise each tiny pivot, a nonzero diagonal entry below SQRT_EPS times
+    its column's largest entry, to SQRT_EPS times the update its neighbours
+    would bring, sum_j |a_ij a_ji / a_jj|, keeping its phase (Li & Demmel's
+    tiny-pivot replacement with a local scale)."""
+    ratio = pivot_ratios(csc)
+    tiny = (ratio > 0.0) & (ratio < SQRT_EPS)
     if not tiny.any():
         return csc
     d = csc.diagonal()
@@ -185,67 +154,48 @@ def lu_factor(matrix: sp.spmatrix) -> spla.SuperLU:
 
 
 class BorderedFactor:
-    """LU of a system's inner matrix plus a dense Schur complement for its
-    constraint rows (none for a plain system).
+    """Factor of a system's matrix plus the refinement of its solves (the
+    name and methods are kept for the spans of ``perfbench/spans.py``).
 
     ``factorize(matrix)`` builds the inner solver (anything with ``solve``
     returning a real vector); it defaults to ``lu_factor``, which needs a
     sparse matrix.  The matrix, sparse or an operator with ``@`` and
-    ``.shape``, and the constraint rows are kept for the refinement steps of
-    ``solve``, which takes any right-hand side of the system's layout.
+    ``.shape``, is kept for the refinement steps of ``solve``, which takes
+    any right-hand side of the system's length.
     """
 
     def __init__(self, system: LinearSystem, factorize=None):
         system.check()
-        self.matrix, self.c = system.matrix, system.constraint_rows
+        self.matrix = system.matrix
         self.inner = (lu_factor if factorize is None else factorize)(self.matrix)
-        self.z = np.zeros(self.c.T.shape)
-        for j, row in enumerate(self.c):
-            self.z[:, j] = self.inner.solve(row)
-        schur = -self.c @ self.z            # [[A C^T],[C 0]] elimination
-        try:
-            self.schur = np.linalg.inv(schur) if len(schur) else schur
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"constraint Schur complement singular: {exc}") from exc
-
-    def _eliminate(self, rhs: np.ndarray) -> np.ndarray:
-        n = self.c.shape[1]
-        y = self.inner.solve(rhs[:n])
-        if not len(self.c):
-            return y
-        out = np.empty(len(rhs))
-        lam = out[n:]
-        np.matmul(self.schur, rhs[n:] - self.c @ y, out=lam)
-        np.subtract(y, self.z @ lam, out=out[:n])
-        return out
 
     def solve(self, rhs: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
-        """Bordered solve refined against the bordered matrix.
+        """Solve refined against the system's matrix.
 
         Without ``start``: eliminate, then refine, one step always and another
         while the residual a step started from exceeded the residual contract
         (a raised tiny pivot leaves an inexact factor); stops with SolverError
         as soon as a step fails to shrink the residual.  With ``start``, a
         prediction of the solution: exactly one step from it,
-        start + F(b - K start), and no elimination of b itself.  Only an
+        start + F(b - A start), and no elimination of b itself.  Only an
         exact factor makes one step from a prediction enough; ``lu_solve``
         checks the result and falls back to the solve without a start."""
         rhs = np.asarray(rhs, dtype=float)
         if start is not None:
-            r = _bordered_matvec(self.matrix, self.c, start)
-            x = self._eliminate(np.subtract(rhs, r, out=r))
+            r = self.matrix @ start
+            x = self.inner.solve(np.subtract(rhs, r, out=r))
             x += start
             return x
         bound = RESIDUAL_TOL * np.linalg.norm(rhs)
-        x = self._eliminate(rhs)
+        x = self.inner.solve(rhs)
         previous = np.inf
         for step in range(MAX_REFINEMENT_STEPS):
-            r = _bordered_matvec(self.matrix, self.c, x)
+            r = self.matrix @ x
             norm = np.linalg.norm(np.subtract(rhs, r, out=r))
             if not norm < previous:
                 raise SolverError(f"iterative refinement diverged at step {step}: residual "
                                   f"{norm:.3e} after {previous:.3e}")
-            x += self._eliminate(r)
+            x += self.inner.solve(r)
             if norm <= bound:
                 break
             previous = norm

@@ -13,8 +13,8 @@ The same equivalence gives the coupled matrix the Kronecker form
 k×k matrix D splits it into ceil(k/2) independent spatial systems
 lam T + tau S (Butcher 1976), one per real eigenvalue or conjugate pair.
 Those are factorized once per slab length and reused while marching; the
-bordered solve refines against the coupled matrix, which absorbs the
-conditioning of the eigenvector transform.  That matrix is never assembled:
+solve refines against the coupled matrix, which absorbs the conditioning of
+the eigenvector transform.  That matrix is never assembled:
 the refinement and the residual contract apply it through its Kronecker
 factors on the (k, block) view of the stage unknowns (``SlabMatrix``).  T
 and S are held once, stacked as [T; S], so one sparse product per node
@@ -25,12 +25,21 @@ The trial space is continuous and piecewise polynomial, so a finished slab's
 degree-k polynomial, extrapolated to the next slab's Gauss nodes, predicts
 that slab's stage values to O(tau^(k+1)) (the starting values of implicit
 Runge-Kutta methods, Hairer & Wanner, Solving ODEs II, IV.8).  Every slab
-after the first starts its bordered solve from that prediction and the
-previous multipliers, and takes one refinement step from it in place of the
-elimination of its right-hand side: one stage solve per slab, not two.  The
-start is dropped where a stage pivot was raised (``GaussStages.pivots_raised``):
-one step with a sqrt(eps)-accurate inverse leaves the v, w and p rows of a
-stiff slab far off although the lambda-dominated global residual passes.
+after the first starts its solve from that prediction and takes one
+refinement step from it in place of the elimination of its right-hand side:
+one stage solve per slab, not two.  The start is dropped where the rounding
+of a stage LU, eps over its smallest pivot-to-column ratio
+(``GaussStages.pivot_ratio``), exceeds the residual contract: one step with
+so inexact an inverse leaves the v, w and p rows of a stiff slab far off
+although the lambda-dominated global residual passes.
+
+The pressure space is L2_0, and with s0 > 0 the slab system is nonsingular
+on the whole modal pressure space, whose constant mode the scheme leaves
+alone: div of a zero-normal BDM field integrates to zero, so only the
+storage term s0 (p, 1)' and the source's load of the constant 1 act on the
+mean.  The source's load is removed from every right-hand side, and the
+mean the solve leaves by rounding (up to 2e-2 of the pressure at
+s0 = 1e-16) is removed from every solution (``SlabOperators.solve``).
 
 The source enters each slab through its Gauss-Lobatto interpolant in time,
 and its loads do not depend on the solution.  So the march evaluates them for
@@ -48,8 +57,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly as asm
-from .linalg import (BorderedFactor, LinearSystem, lu_factor, lu_solve, serial_blas,
-                     tiny_pivots)
+from .linalg import (RESIDUAL_TOL, BorderedFactor, LinearSystem, lu_factor, lu_solve,
+                     pivot_ratios, serial_blas)
 from .mesh import Mesh, write_vtk_edges, write_vtk_mesh
 from .spaces import build_space, interpolate_vector_field, project_scalar_field, remove_mean
 from .time_basis import gauss_rule, gauss_lobatto_rule, lagrange_basis
@@ -186,6 +195,14 @@ class Discretization:
             [(lambda t: 1.0, lambda x: np.ones(x.shape[:-1]))]), 0.0)
 
     @cached_property
+    def p_constant(self) -> np.ndarray:
+        """Coefficients of the constant 1 in the modal pressure basis, whose
+        first mode in each cell is the constant 1."""
+        constant = np.zeros(self.dgp.ndofs)
+        constant[0::self.dgp.element.dim] = 1.0
+        return constant
+
+    @cached_property
     def mass_p_diag(self) -> np.ndarray:
         diag = self.mass_p.diagonal()
         off = self.mass_p - sp.diags(diag)
@@ -241,13 +258,20 @@ class Discretization:
 
         The pressure test space is the zero-mean subspace, so the load of the
         constant 1 never acts; removing it here keeps quadrature-level mean
-        defects of analytic sources out of the mean-pinning multipliers.
+        defects of analytic sources out of the pressure mean.
         """
-        load = asm.assemble_load(self.dgp, source, t)
-        nloc = self.dgp.element.dim
-        total = load[..., 0::nloc].sum(axis=-1)   # functional applied to the constant 1
-        area = self.p_volume[0::nloc].sum()       # = |Omega|
-        return load - np.multiply.outer(total / area, self.p_volume)
+        return _remove_mode(asm.assemble_load(self.dgp, source, t), self.p_constant,
+                            self.p_volume)
+
+
+def _remove_mode(values: np.ndarray, measure: np.ndarray, mode: np.ndarray) -> np.ndarray:
+    """``values`` less the multiple of ``mode`` that zeroes their pairing with
+    ``measure``, row by row along the last axis.  With the pressure
+    ``p_constant`` and ``p_volume``, measuring by the constant strips a load
+    of its action on the constant 1, and measuring by ``p_volume`` strips a
+    pressure of its mean."""
+    scale = (values * measure).sum(axis=-1) / (mode * measure).sum()
+    return values - np.multiply.outer(scale, mode)
 
 
 def _row_block(blocks: sp.csr_matrix, index: int) -> sp.csr_matrix:
@@ -299,8 +323,9 @@ class GaussStages:
     and the stage of a conjugate partner is the conjugate of the solved one,
     so the pair enters x as twice the real part.  Built from a ``SlabMatrix``
     and holds no reference to it or to the slab operators that own its
-    factor.  ``pivots_raised`` tells whether ``lu_factor`` raised a tiny pivot
-    of any stage matrix, which leaves the inverse accurate to sqrt(eps) only.
+    factor.  ``pivot_ratio`` is the smallest ``pivot_ratios`` entry of the
+    stage matrices: eps over it estimates the relative rounding of a stage
+    solve, and below sqrt(eps) ``lu_factor`` has raised a tiny pivot.
     """
 
     def __init__(self, matrix: SlabMatrix):
@@ -315,7 +340,7 @@ class GaussStages:
         self.from_stage = vecs[:, keep] * np.where(self.real, 1.0, 2.0)
         stages = [sp.csc_matrix((lam[j].real if real else lam[j]) * t_block + tau * s_block)
                   for j, real in zip(keep, self.real)]
-        self.pivots_raised = any(tiny_pivots(stage).any() for stage in stages)
+        self.pivot_ratio = min(pivot_ratios(stage).min() for stage in stages)
         self.lus = [lu_factor(stage) for stage in stages]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -364,10 +389,6 @@ class SlabOperators:
         # keeps the operators and their LUs alive
         self.inner_matrix = SlabMatrix(self.theta_dt[:, 1:], self.theta_mass[:, 1:],
                                        disc.slab_blocks, self.tau)
-        # one zero-mean multiplier per trial node; kept out of the sparse
-        # factorization (dense rows poison the ordering)
-        self.constraint_rows = np.kron(np.eye(k), np.concatenate(
-            [np.zeros(3 * self.n_bdm), disc.p_volume]))
         self._factor = None
 
     def restrict_state(self, state: SlabState) -> np.ndarray:
@@ -385,28 +406,34 @@ class SlabOperators:
         return out
 
     def rhs(self, x0: np.ndarray, loads: np.ndarray) -> np.ndarray:
-        """Bordered right-hand side of the slab that starts from the free-DOF
-        block ``x0``, given its source blocks at its Gauss-Lobatto times
-        (``_load_stack`` rows, (k+1, block)): k node loads, then k zero-mean
-        values."""
-        rhs = np.zeros(self.k * (self.block_size + 1))
-        nodes = rhs[:-self.k].reshape(self.k, -1)
-        np.matmul(self.tau * self.theta_src, loads, out=nodes)
+        """Right-hand side of the slab that starts from the free-DOF block
+        ``x0``, given its source blocks at its Gauss-Lobatto times
+        (``_load_stack`` rows, (k+1, block)): the k node loads, k * block."""
+        nodes = (self.tau * self.theta_src) @ loads
         # the left-end value enters through the time derivative only: the G0
         # node-0 basis vanishes at every Gauss node, so theta_mass[:, 0] == 0
         nodes -= np.outer(self.theta_dt[:, 0], self.disc.time_derivative_block @ x0)
-        return rhs
+        return nodes.ravel()
 
     def solve(self, rhs: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
-        """Stage values and multipliers of one slab.  ``start``, a prediction
-        of them, is used only where no stage pivot was raised: one refinement
-        step from it then replaces the elimination of ``rhs``."""
-        system = LinearSystem(self.inner_matrix, rhs, self.constraint_rows)
+        """Stage values of one slab, k * block, each stage pressure of zero
+        mean.  The action of ``rhs`` on each stage's constant pressure is
+        removed before the solve and each stage pressure's mean after it
+        (module doc).  ``start``, a prediction of the stage values, is used
+        only where the stage LUs are exact to the residual contract: one
+        refinement step from it then replaces the elimination of ``rhs``."""
+        disc, p = self.disc, slice(3 * self.n_bdm, None)
+        nodes = rhs.reshape(self.k, -1).copy()
+        nodes[:, p] = _remove_mode(nodes[:, p], disc.p_constant, disc.p_volume)
+        system = LinearSystem(self.inner_matrix, nodes.ravel())
         if self._factor is None:
             self._factor = BorderedFactor(system, GaussStages)
-        if self._factor.inner.pivots_raised:
-            start = None
-        return lu_solve(system, self._factor, start)
+        if self._factor.inner.pivot_ratio * RESIDUAL_TOL < np.finfo(float).eps:
+            start = None    # eps / pivot_ratio, the LU's rounding, misses the contract
+        x = lu_solve(system, self._factor, start)
+        stages = x.reshape(self.k, -1)
+        stages[:, p] = _remove_mode(stages[:, p], disc.p_volume, disc.p_constant)
+        return x
 
 
 @dataclass
@@ -495,9 +522,8 @@ def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
             times = grid.endpoints[chunk, None] + grid.tau * ops.gl_nodes
             loads = ops._load_stack(sources, times.ravel()).reshape(times.shape + (bs,))
             for n, slab_loads in zip(range(chunk.start, chunk.stop), loads):
-                x = ops.solve(ops.rhs(known[0], slab_loads), start)
-                known[1:] = x[:k * bs].reshape(k, bs)
-                start = np.concatenate([(ahead @ known).ravel(), x[k * bs:]])
+                known[1:] = ops.solve(ops.rhs(known[0], slab_loads), start).reshape(k, bs)
+                start = (ahead @ known).ravel()
                 for values, dofs, cols in layout:
                     values[n, dofs] = known[:, cols].ravel()
                 known[0] = np.einsum("i,id->d", traj.end_weights, known)
