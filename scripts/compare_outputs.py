@@ -10,9 +10,11 @@ workload it prints whether the ``output_digest``s of the two trees are equal
 on every seed, the output checks that failed on either side, and the worst
 reference deviation of each side as a fraction of its tolerance (> 1 fails).
 Where the digests differ, it lists the output files, by relative path, whose
-bytes differ on the first such seed, and the largest relative change of any
-CSV cell over all seeds, with its file, column and seed.  The trees are only
-read; the exit status is 1 if any check failed.
+bytes differ on the first such seed, the largest relative change of any CSV
+cell over all seeds, with its file, column and seed, and per CSV file the
+largest relative change of each row (a study level) over all seeds, to be
+read against the rounding noise of that level.  The trees are only read; the
+exit status is 1 if any check failed.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 
 SEEDS = range(8)
 
@@ -68,19 +71,34 @@ def _relative_change(old: str, new: str) -> float:
     return abs(b - a) / abs(a) if a != 0.0 else math.inf
 
 
+def _row_changes(old: dict, new: dict) -> dict[str, list[tuple[float, str]]]:
+    """Per CSV file of two runs' ``_csv_tables``, the largest relative change
+    of any cell in each row and its column ('' where no cell of the row
+    changed); a file whose columns or rows differ has the one row (inf, '')."""
+    out = {}
+    for path in sorted(old.keys() | new.keys()):
+        before, after = old.get(path, {}), new.get(path, {})
+        if sorted(before) != sorted(after) or any(len(before[c]) != len(after[c]) for c in before):
+            out[path] = [(math.inf, "")]
+            continue
+        columns = {column: list(map(_relative_change, cells, after[column]))
+                   for column, cells in before.items()}
+        out[path] = [max([(0.0, "")] + [(changes[i], column) for column, changes
+                                        in columns.items() if changes[i] > 0.0],
+                         key=lambda item: item[0])
+                     for i in range(len(next(iter(before.values()), [])))]
+    return out
+
+
 def _largest_csv_change(old: dict, new: dict) -> tuple[float, str]:
     """Largest relative change of any cell between two runs' ``_csv_tables``,
     and where: 'file:column', the file alone when its columns or rows differ,
     or '' when no cell changed."""
     worst = (0.0, "")
-    for path in old.keys() | new.keys():
-        before, after = old.get(path, {}), new.get(path, {})
-        if sorted(before) != sorted(after) or any(len(before[c]) != len(after[c]) for c in before):
-            return math.inf, path
-        for column, cells in before.items():
-            change = max(map(_relative_change, cells, after[column]), default=0.0)
+    for path, rows in _row_changes(old, new).items():
+        for change, column in rows:
             if change > worst[0]:
-                worst = change, f"{path}:{column}"
+                worst = change, f"{path}:{column}" if column else path
     return worst
 
 
@@ -128,6 +146,7 @@ def main(old: str, new: str) -> int:
     for name in names:
         equal, worst, failed, differing = 0, {"old": 0.0, "new": 0.0}, [], None
         largest = (0.0, "", None)    # relative CSV change, where, seed
+        by_row = {}                  # CSV file -> largest relative change per row
         for seed in SEEDS:
             runs = {side: json.loads(_child(root, name, str(seed))) for side, root in roots.items()}
             digest = runs["old"]["digest"]
@@ -136,6 +155,9 @@ def main(old: str, new: str) -> int:
             if not same:
                 change, where = _largest_csv_change(runs["old"]["csv"], runs["new"]["csv"])
                 largest = max(largest, (change, where, seed), key=lambda item: item[0])
+                for path, rows in _row_changes(runs["old"]["csv"], runs["new"]["csv"]).items():
+                    by_row[path] = [max(a, b) for a, b in zip_longest(
+                        by_row.get(path, []), (c for c, _ in rows), fillvalue=0.0)]
             if not same and differing is None:
                 old_files, new_files = runs["old"]["files"], runs["new"]["files"]
                 differing = seed, sorted(path for path in old_files.keys() | new_files.keys()
@@ -152,6 +174,9 @@ def main(old: str, new: str) -> int:
             change, where, seed = largest
             print(f"{'':12s} largest relative CSV cell change: {change:.3g}"
                   + (f" in {where} (seed {seed})" if where else ""))
+            for path, rows in sorted(by_row.items()):
+                if any(rows):
+                    print(f"{'':12s} {path} per row: {' '.join(f'{c:.2g}' for c in rows)}")
     return 1 if any_failed else 0
 
 

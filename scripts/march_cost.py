@@ -24,7 +24,6 @@ import time
 import timeit
 
 import numpy as np
-import scipy.sparse as sp
 
 from biotcgp.assembly import PhysicalParams
 from biotcgp.linalg import serial_blas
@@ -58,7 +57,7 @@ def main():
     k = args.k
 
     disc = Discretization(structured_mesh(args.mesh, args.mesh), 0, PhysicalParams())
-    case = discrete_case(disc, k, "trig", 4.0)
+    case = discrete_case(disc, 4.0)
     march(disc, k, TimeGrid(TOTAL_TIME, 2), case.initial_state(), case.sources())  # warm caches
     few, many = (_march_seconds(disc, case, k, n, args.repeats) for n in SLABS)
     per_slab = (many - few) / (SLABS[1] - SLABS[0])
@@ -69,8 +68,7 @@ def main():
     n = k * ops.block_size
     ops.solve(rng.standard_normal(n))              # builds the stage factorization
     stages = ops._factor.inner
-    t_block = disc.time_derivative_block
-    stacked = sp.vstack([t_block, disc.stationary_block], format="csr")
+    stacked, t_block = disc.slab_blocks, disc.time_derivative_block
     x, node = rng.standard_normal(n), rng.standard_normal(ops.block_size)
     with serial_blas():
         solve = _kernel_seconds(lambda: stages.solve(x), args.repeats)

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from .spaces import FunctionSpace
 
 __all__ = ["PhysicalParams", "FieldSource", "assemble_mass", "assemble_gram",
-           "assemble_broken_h1", "assemble_div_coupling", "assemble_elasticity",
+           "assemble_rows", "assemble_broken_h1", "assemble_div_coupling", "assemble_elasticity",
            "assemble_elasticity_rhs", "assemble_load"]
 
 
@@ -179,6 +179,18 @@ def assemble_gram(space: FunctionSpace, weights: np.ndarray, left: np.ndarray,
     derivatives)."""
     return _scatter((space.ndofs, space.ndofs),
                     (space.cell_dofs, space.cell_dofs, _gram(weights, left, right)))
+
+
+def assemble_rows(space: FunctionSpace, weights: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
+    """Volume table of ``space`` as a matrix B scaled by sqrt(weights), so
+    ||B c||^2, the weighted integral of the tabulated field squared, is a sum
+    of squares.  A cell has a row per (component, point), or where those
+    outnumber its DOFs the rows of their R factor, with the same squares."""
+    rows = _flat(table * np.sqrt(weights).reshape(weights.shape + (1,) * (table.ndim - 2)))
+    if rows.shape[1] > rows.shape[2]:
+        rows = np.linalg.qr(rows, mode="r")
+    index = np.arange(rows.shape[0] * rows.shape[1]).reshape(rows.shape[:2])
+    return _scatter((index.size, space.ndofs), (index, space.cell_dofs, rows))
 
 
 def assemble_broken_h1(space: FunctionSpace) -> sp.csr_matrix:

@@ -264,8 +264,7 @@ def _property_suite(cfg: RunConfig, seed: int) -> list[CheckResult]:
         pspace = build_space(mesh, "DGP", degree - 1)
         divq = space.divs_on_quadrature(coeffs)
         b = assemble_div_coupling(space, pspace, 1.0)
-        diag = np.repeat(mesh.areas, pspace.element.dim)
-        rep = pspace.values_on_quadrature((b.T @ coeffs) / diag)
+        rep = pspace.values_on_quadrature((b.T @ coeffs) / pspace.mass_diagonal)
         num = np.sqrt(np.einsum("cq,cq->", space.volume.weights, (divq - rep) ** 2))
         den = max(np.sqrt(np.einsum("cq,cq->", space.volume.weights, divq ** 2)), 1e-30)
         div_worst = max(div_worst, num / den)

@@ -278,7 +278,6 @@ class DiscreteCase:
         return self.exact_state(0.0)
 
 
-def discrete_case(disc: Discretization, k: int, temporal: str = "trig",
-                  omega: float = 4.0) -> DiscreteCase:
-    tf = trig_factors(omega) if temporal == "trig" else poly_factors(k)
-    return DiscreteCase(disc, tf)
+def discrete_case(disc: Discretization, omega: float = 4.0) -> DiscreteCase:
+    """The discrete case of ``disc`` with the trigonometric time factors."""
+    return DiscreteCase(disc, trig_factors(omega))

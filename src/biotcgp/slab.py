@@ -37,9 +37,11 @@ The pressure space is L2_0, and with s0 > 0 the slab system is nonsingular
 on the whole modal pressure space, whose constant mode the scheme leaves
 alone: div of a zero-normal BDM field integrates to zero, so only the
 storage term s0 (p, 1)' and the source's load of the constant 1 act on the
-mean.  The source's load is removed from every right-hand side, and the
-mean the solve leaves by rounding (up to 2e-2 of the pressure at
-s0 = 1e-16) is removed from every solution (``SlabOperators.solve``).
+mean.  The source's action on the constant 1 is removed from every
+right-hand side, and the mean the solve leaves by rounding (up to 2e-2 of
+the pressure at s0 = 1e-16) from every solution (``SlabOperators.solve``),
+by the exact mode-0 shifts of ``spaces.remove_constant_load`` and
+``remove_mean``.
 
 The source enters each slab through its Gauss-Lobatto interpolant in time,
 and its loads do not depend on the solution.  So the march evaluates them for
@@ -60,7 +62,8 @@ from . import assembly as asm
 from .linalg import (RESIDUAL_TOL, BorderedFactor, LinearSystem, lu_factor, lu_solve,
                      pivot_ratios, serial_blas)
 from .mesh import Mesh, write_vtk_edges, write_vtk_mesh
-from .spaces import build_space, interpolate_vector_field, project_scalar_field, remove_mean
+from .spaces import (build_space, interpolate_vector_field, project_scalar_field,
+                     remove_constant_load, remove_mean)
 from .time_basis import gauss_rule, gauss_lobatto_rule, lagrange_basis
 
 __all__ = ["TimeGrid", "SlabState", "SourceSet", "Discretization", "SlabOperators",
@@ -163,9 +166,9 @@ class Discretization:
 
     @cached_property
     def mass_p(self) -> sp.csr_matrix:
-        return asm.assemble_mass(self.dgp, 1.0)
+        return sp.diags(self.dgp.mass_diagonal, format="csr")
 
-    # Gram matrices of the displacement error norms, for errors that are
+    # Matrices of the displacement error norms, for errors that are
     # coefficient vectors (``verification.field_error_norms`` with no exact
     # field); the slab systems use none of them.
     @cached_property
@@ -174,41 +177,19 @@ class Discretization:
         return asm.assemble_broken_h1(self.bdm)
 
     @cached_property
-    def gram_div(self) -> sp.csr_matrix:
-        """L2 norm of the divergence, computed in the BDM space itself; the
-        pressure-space ``div_coefficients`` are exact only for a
-        div-compatible pairing."""
+    def div_rows(self) -> sp.csr_matrix:
+        """B with ||B u||^2 the squared L2 norm of div u, computed in the BDM
+        space itself; the pressure-space ``div_coefficients`` are exact only
+        for a div-compatible pairing."""
         tab = self.bdm.volume
-        return asm.assemble_gram(self.bdm, tab.weights, tab.divs)
+        return asm.assemble_rows(self.bdm, tab.weights, tab.divs)
 
     @cached_property
-    def gram_h2(self) -> sp.csr_matrix:
-        """h_K^2-weighted broken H2 seminorm; BDM degree >= 2 only (BDM_1 has
-        no second derivatives)."""
+    def h2_rows(self) -> sp.csr_matrix:
+        """B with ||B u||^2 the h_K^2-weighted broken H2 seminorm squared; BDM
+        degree >= 2 only (BDM_1 has no second derivatives)."""
         weights = self.mesh.h_cell[:, None] ** 2 * self.bdm.volume.weights
-        return asm.assemble_gram(self.bdm, weights, self.bdm.volume_seconds)
-
-    @cached_property
-    def p_volume(self) -> np.ndarray:
-        """Load vector of the constant 1 against the pressure basis."""
-        return asm.assemble_load(self.dgp, asm.FieldSource(
-            [(lambda t: 1.0, lambda x: np.ones(x.shape[:-1]))]), 0.0)
-
-    @cached_property
-    def p_constant(self) -> np.ndarray:
-        """Coefficients of the constant 1 in the modal pressure basis, whose
-        first mode in each cell is the constant 1."""
-        constant = np.zeros(self.dgp.ndofs)
-        constant[0::self.dgp.element.dim] = 1.0
-        return constant
-
-    @cached_property
-    def mass_p_diag(self) -> np.ndarray:
-        diag = self.mass_p.diagonal()
-        off = self.mass_p - sp.diags(diag)
-        if abs(off).max() > 1e-12 * diag.max():
-            raise AssertionError("modal pressure mass matrix is not diagonal")
-        return diag
+        return asm.assemble_rows(self.bdm, weights, self.bdm.volume_seconds)
 
     @cached_property
     def slab_blocks(self) -> sp.csr_matrix:
@@ -250,28 +231,14 @@ class Discretization:
         """Coefficients of div(field) in the pressure space (exact when the
         pairing is div-compatible)."""
         mat = self.div_w if matrix is None else matrix
-        return (mat.T @ coeffs) / self.mass_p_diag
+        return (mat.T @ coeffs) / self.dgp.mass_diagonal
 
     def pressure_load(self, source: asm.FieldSource, t: float | np.ndarray) -> np.ndarray:
-        """Mass-balance load with its constant-mode component removed; at a
-        1-D array of times, one row per time.
-
-        The pressure test space is the zero-mean subspace, so the load of the
-        constant 1 never acts; removing it here keeps quadrature-level mean
-        defects of analytic sources out of the pressure mean.
-        """
-        return _remove_mode(asm.assemble_load(self.dgp, source, t), self.p_constant,
-                            self.p_volume)
-
-
-def _remove_mode(values: np.ndarray, measure: np.ndarray, mode: np.ndarray) -> np.ndarray:
-    """``values`` less the multiple of ``mode`` that zeroes their pairing with
-    ``measure``, row by row along the last axis.  With the pressure
-    ``p_constant`` and ``p_volume``, measuring by the constant strips a load
-    of its action on the constant 1, and measuring by ``p_volume`` strips a
-    pressure of its mean."""
-    scale = (values * measure).sum(axis=-1) / (mode * measure).sum()
-    return values - np.multiply.outer(scale, mode)
+        """Mass-balance load, one row per time at a 1-D array of times, less
+        its action on the constant 1: the pressure test space is zero-mean,
+        and this keeps quadrature-level mean defects of analytic sources out
+        of the pressure mean."""
+        return remove_constant_load(self.dgp, asm.assemble_load(self.dgp, source, t))
 
 
 def _row_block(blocks: sp.csr_matrix, index: int) -> sp.csr_matrix:
@@ -422,9 +389,9 @@ class SlabOperators:
         (module doc).  ``start``, a prediction of the stage values, is used
         only where the stage LUs are exact to the residual contract: one
         refinement step from it then replaces the elimination of ``rhs``."""
-        disc, p = self.disc, slice(3 * self.n_bdm, None)
+        dgp, p = self.disc.dgp, slice(3 * self.n_bdm, None)
         nodes = rhs.reshape(self.k, -1).copy()
-        nodes[:, p] = _remove_mode(nodes[:, p], disc.p_constant, disc.p_volume)
+        nodes[:, p] = remove_constant_load(dgp, nodes[:, p])
         system = LinearSystem(self.inner_matrix, nodes.ravel())
         if self._factor is None:
             self._factor = BorderedFactor(system, GaussStages)
@@ -432,7 +399,7 @@ class SlabOperators:
             start = None    # eps / pivot_ratio, the LU's rounding, misses the contract
         x = lu_solve(system, self._factor, start)
         stages = x.reshape(self.k, -1)
-        stages[:, p] = _remove_mode(stages[:, p], disc.p_volume, disc.p_constant)
+        stages[:, p] = remove_mean(dgp, stages[:, p])
         return x
 
 

@@ -19,7 +19,7 @@ from .mesh import Mesh
 from .time_basis import gauss_legendre_rule
 
 __all__ = ["FunctionSpace", "build_space", "interpolate_vector_field",
-           "project_scalar_field", "remove_mean"]
+           "project_scalar_field", "remove_mean", "remove_constant_load"]
 
 DENSE_EDGE_POINTS = 10   # moment quadrature for interpolating analytic data
 
@@ -254,6 +254,17 @@ class FunctionSpace:
         qp, _ = el.triangle_rule(self.quad_degree)
         return self._piola(np.arange(self.mesh.num_cells), qp, 2)[2]
 
+    @cached_property
+    def mass_diagonal(self) -> np.ndarray:
+        """The diagonal L2 mass matrix of a DGP space, read-only: the modal basis
+        of a cell is orthogonal with squared norms the cell area, and its mode
+        0 is the constant 1 (``elements._orthonormal_modal``)."""
+        if self.family != "DGP":
+            raise ValueError("a diagonal mass matrix only for DGP spaces")
+        diagonal = np.repeat(self.mesh.areas, self.element.dim)
+        diagonal.flags.writeable = False
+        return diagonal
+
     def tabulate_at(self, cells: np.ndarray, points: np.ndarray,
                     grads: bool = False):
         """Basis values (and gradients) at arbitrary physical points.
@@ -352,14 +363,20 @@ def project_scalar_field(space: FunctionSpace, fn) -> np.ndarray:
 
 
 def remove_mean(space: FunctionSpace, coeffs: np.ndarray) -> np.ndarray:
-    """Shift the constant mode so the field integrates to zero over the domain."""
-    if space.family != "DGP":
-        raise ValueError("mean removal applies to scalar spaces")
-    vals = space.values_on_quadrature(coeffs)
-    total = float(np.einsum("cq,cq->", space.volume.weights, vals))
-    area = float(space.volume.weights.sum())
+    """Shift the constant mode so the field integrates to zero over the domain,
+    row by row along the last axis; only mode 0, the constant 1, integrates to
+    nonzero on a cell, so this needs no quadrature."""
     out = np.array(coeffs, dtype=float, copy=True)
-    const_value = space.element.tabulate(np.zeros((1, 2)))[0, 0]     # constant mode height
-    nloc = space.element.dim
-    out[0::nloc] -= (total / area) / const_value
+    areas, constant = space.mass_diagonal[::space.element.dim], out[..., ::space.element.dim]
+    constant -= (constant @ areas / areas.sum())[..., None]
+    return out
+
+
+def remove_constant_load(space: FunctionSpace, load: np.ndarray) -> np.ndarray:
+    """The dual of ``remove_mean``: ``load`` less the multiple of the load of
+    the constant 1 (the cell areas on mode 0) that makes its action on the
+    constant 1 zero, row by row along the last axis."""
+    out = np.array(load, dtype=float, copy=True)
+    areas, constant = space.mass_diagonal[::space.element.dim], out[..., ::space.element.dim]
+    constant -= np.multiply.outer(constant.sum(axis=-1) / areas.sum(), areas)
     return out

@@ -5,8 +5,8 @@ h_e^{-1}-weighted tangential jumps over all edges, the h_K^2-weighted broken
 H2 seminorm, and (for the full graph norm) the divergence; the combined error
 measure adds the density-weighted velocity/flux norm, the K^{-1/2} flux norm,
 and the sqrt(s0)-scaled pressure norm.  Errors that are themselves discrete
-fields are measured as quadratic forms of the coefficients with Gram matrices;
-errors against an analytic field, by quadrature.
+fields are measured as quadratic forms of the coefficients (Gram or
+tabulation matrices); errors against an analytic field, by quadrature.
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ def _norms(u_l2_sq, dg_no_h2_sq, h2_sq, div_sq, mrho_sq, wk_sq, p_sq) -> dict[st
 def _coefficient_norms(disc: Discretization,
                        coeffs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """``field_error_norms`` of coefficient stacks (S, ndofs) that are the
-    errors themselves: each squared norm is the quadratic form c^T G c of a
-    Gram matrix G of ``disc``, per sample.  A semidefinite G (divergence, h^2)
-    can give a rounding-level negative square, which is read as 0."""
+    errors themselves, per sample: each squared norm is c^T G c of a Gram
+    matrix G of ``disc``, or for the semidefinite divergence and h^2 terms
+    ||B c||^2 of a tabulation matrix B, whose sum of squares has no floor of
+    about sqrt(eps) times the whole field, as c^T B^T B c would."""
     prm = disc.params
     # one sample per column, in the C order that the sparse products read
     u, v, w, p = (np.ascontiguousarray(np.asarray(coeffs[f]).T) for f in FIELDS)
@@ -105,13 +106,15 @@ def _coefficient_norms(disc: Discretization,
         """y_s^T G x_s for every sample column s; ``y`` defaults to ``x``."""
         return np.einsum("ds,ds->s", x if y is None else y, gram @ x)
 
-    def square(gram):
-        return np.maximum(form(gram, u), 0.0)
+    def squares(rows):
+        """||B u_s||^2 for every sample column s of a tabulation matrix B."""
+        values = rows @ u
+        return np.einsum("rs,rs->s", values, values)
 
     mass = disc.mass_bdm
     return _norms(form(mass, u), form(disc.gram_broken_h1, u),
-                  square(disc.gram_h2) if disc.bdm.degree >= 2 else 0.0,
-                  square(disc.gram_div),
+                  squares(disc.h2_rows) if disc.bdm.degree >= 2 else 0.0,
+                  squares(disc.div_rows),
                   form(mass, v, prm.rho_bar * v + prm.rho_f * w)
                   + form(mass, w, prm.rho_f * v + prm.rho_w * w),
                   form(disc.mass_kinv, w), form(disc.mass_p, p))
@@ -124,8 +127,8 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
 
     ``coeffs[f]`` is (S, ndofs).  ``exact`` None means the fields are
     themselves the errors (a ``DiscreteCase``'s coefficient differences):
-    every norm is then an exact quadratic form of the coefficients with a
-    Gram matrix of ``disc`` (``_coefficient_norms``).
+    every norm is then an exact quadratic form of the coefficients
+    (``_coefficient_norms``).
 
     Otherwise the norms are quadrature sums of the difference at the
     quadrature points.  ``exact`` maps a field name (u, v, w, p, grad_u,
@@ -299,7 +302,7 @@ def mass_conservation_audit(traj: Trajectory, sources: SourceSet) -> float:
     # the load at the N k + 1 distinct Gauss-Lobatto times: the right node of
     # a slab is the left node of the next
     loads = disc.pressure_load(sources.mass, _slab_times(grid, basis_gl.nodes[:-1]))
-    loads /= disc.mass_p_diag
+    loads /= disc.dgp.mass_diagonal
 
     def at_gauss_rows(table, space, weights, slab_coeffs):
         """(cells, points, c k) values of the field whose slab coefficients
@@ -442,7 +445,7 @@ def temporal_study(params: asm.PhysicalParams, k: int, ell: int, slab_counts,
     """Convergence in tau on a fixed mesh with a spatially exact solution."""
     mesh = structured_mesh(mesh_n, mesh_n)
     disc = Discretization(mesh, ell, params)
-    case = discrete_case(disc, k, "trig", omega)
+    case = discrete_case(disc, omega)
     sources = case.sources()   # one SourceSet, so its term loads are integrated once
     grids = (TimeGrid(total_time, int(n_slabs)) for n_slabs in slab_counts)
     result, _ = _march_levels(((grid.tau, 1.0 / mesh_n, disc, grid) for grid in grids),

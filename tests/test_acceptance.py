@@ -231,7 +231,7 @@ def test_criterion_7_cgp_exactness():
     disc = Discretization(structured_mesh(4, 4), ell=0, params=params)
     worst = 0.0
     for k in (1, 2):
-        case = mms.discrete_case(disc, k, temporal="poly")
+        case = mms.DiscreteCase(disc, mms.poly_factors(k))
         per_n = []
         for n_slabs in (3, 5):
             traj = march(disc, k, TimeGrid(0.5, n_slabs), case.initial_state(),

@@ -8,7 +8,7 @@ from biotcgp import assembly as asm, spaces as sps
 from biotcgp.elements import triangle_rule
 from biotcgp.linalg import dense_min_eig_sym
 from biotcgp.mesh import structured_mesh
-from biotcgp.mms import default_mms, discrete_case
+from biotcgp.mms import DiscreteCase, default_mms, poly_factors
 from biotcgp.slab import Discretization, SlabOperators
 from biotcgp.time_basis import gauss_legendre_rule, gauss_lobatto_rule
 
@@ -250,7 +250,7 @@ def test_loads_at_an_array_of_times_stack_the_single_time_loads(params, temporal
     # row by row: factors that return arrays, zero polynomials and constants
     disc = Discretization(structured_mesh(2, 2), 0, params)
     sources = (default_mms(params).sources() if temporal == "trig"
-               else discrete_case(disc, 1, temporal="poly").sources())
+               else DiscreteCase(disc, poly_factors(1)).sources())
     constant = asm.FieldSource([(lambda t: 1.0, lambda x: np.ones(x.shape[:-1]))])
     times = 0.1 + 0.25 * gauss_lobatto_rule(3).nodes
     for space, src in ((disc.bdm, sources.f), (disc.bdm, sources.g),
@@ -469,6 +469,9 @@ def test_operators_match_einsum_references(ell, perturbed_mesh):
     kinv = np.einsum("cq,cqia,ab,cqjb->cij", tv.weights, tv.values, params.kappa_inv,
                      tv.values)
     div = np.einsum("cq,cqi,cqj->cij", tv.weights, tv.divs, tp.values)
+    # Discretization.mass_p is the diagonal of cell areas that the modal
+    # basis promises (FunctionSpace.mass_diagonal), not an assembled matrix:
+    # this quadrature reference is where that promise is checked
     mass_p = np.einsum("cq,cqi,cqj->cij", tp.weights, tp.values, tp.values)
     cases = {
         "mass_bdm": (disc.mass_bdm, _dense((nb, nb), bdm.cell_dofs, bdm.cell_dofs, mass)),

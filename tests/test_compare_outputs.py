@@ -28,3 +28,15 @@ def test_largest_change_names_file_and_column():
     assert compare._largest_csv_change(old, old) == (0.0, "")
     assert compare._largest_csv_change(old, {}) == (math.inf, "study.csv")
     assert compare._largest_csv_change({}, {}) == (0.0, "")
+
+
+def test_row_changes_give_each_level_its_largest_change():
+    old = {"study.csv": {"h": ["0.5", "0.25", "0.125"], "err": ["1e-3", "2e-4", "5e-5"],
+                         "eoc_err": ["", "2.3", "2.0"]}}
+    new = {"study.csv": {"h": ["0.5", "0.25", "0.125"], "err": ["1e-3", "2.2e-4", "5e-5"],
+                         "eoc_err": ["", "2.2", "2.1"]}}
+    rows = compare._row_changes(old, new)["study.csv"]
+    assert rows[0] == (0.0, "")
+    assert rows[1][1] == "err" and rows[1][0] == pytest.approx(0.1)
+    assert rows[2][1] == "eoc_err" and rows[2][0] == pytest.approx(0.05)
+    assert compare._row_changes(old, {}) == {"study.csv": [(math.inf, "")]}

@@ -41,6 +41,8 @@ def test_no_unused_imports(path):
 # entry that gains a reader in src/ or goes away fails the scan too
 TEST_REFERENCES = {
     "grad_P": "the pressure gradient in the PDE-residual check of tests/test_mms.py",
+    "poly_factors": "polynomial time factors, which cGP(k) reproduces exactly, in the "
+                    "exactness tests of tests/test_slab.py and tests/test_acceptance.py",
     "stationary_block": "S alone, a row view of Discretization.slab_blocks, in the "
                         "Kronecker references of tests/test_slab.py",
 }

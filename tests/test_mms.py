@@ -144,7 +144,7 @@ def test_poly_factors_derivative_consistency():
 
 def test_discrete_case_exactly_in_space(params):
     disc = Discretization(structured_mesh(3, 3), ell=0, params=params)
-    case = mms.discrete_case(disc, 1, temporal="trig", omega=2.0)
+    case = mms.discrete_case(disc, omega=2.0)
     # profiles respect the strong constraints and the zero mean
     assert np.abs(case.u_hat[disc.bdm.constrained]).max() == 0.0
     assert np.abs(case.w_hat[disc.bdm.constrained]).max() == 0.0
@@ -156,7 +156,7 @@ def test_discrete_case_semidiscrete_residual(params):
     """The Riesz-lifted sources make the exact coefficients solve the
     semi-discrete equations identically at any time."""
     disc = Discretization(structured_mesh(2, 2), ell=0, params=params)
-    case = mms.discrete_case(disc, 2, temporal="trig", omega=3.0)
+    case = mms.discrete_case(disc, omega=3.0)
     src = case.sources()
     prm = disc.params
     free = disc.bdm.free

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from biotcgp import linalg, mms
 from biotcgp import slab
 from biotcgp import spaces as sps
-from biotcgp.assembly import PhysicalParams, assemble_elasticity_rhs
+from biotcgp.assembly import FieldSource, PhysicalParams, assemble_elasticity_rhs, assemble_load
 from biotcgp.mesh import structured_mesh
 from biotcgp.slab import (Discretization, SlabOperators, SlabState, SourceSet,
                           TimeGrid, march, project_initial_data)
@@ -27,6 +27,13 @@ def disc4(params):
 @pytest.fixture(scope="module")
 def disc1(params):
     return Discretization(structured_mesh(1, 1), ell=0, params=params)
+
+
+def _p_volume(disc):
+    """Load of the constant 1 against the pressure basis, by quadrature: a
+    reference independent of the modal-basis facts the solver relies on."""
+    return assemble_load(disc.dgp, FieldSource([(lambda t: 1.0,
+                                                 lambda x: np.ones(x.shape[:-1]))]), 0.0)
 
 
 # --- grids and states ---------------------------------------------------------
@@ -122,7 +129,7 @@ def test_mass_weights_are_the_gauss_weights(disc1, k):
 
 
 def test_build_and_solve_single_slab(disc4, params):
-    case = mms.discrete_case(disc4, 1, temporal="poly")
+    case = mms.DiscreteCase(disc4, mms.poly_factors(1))
     grid = TimeGrid(0.5, 1)
     ops = SlabOperators(disc4, 1, grid.tau)
     loads = ops._load_stack(case.sources(), grid.endpoints[0] + grid.tau * ops.gl_nodes)
@@ -283,7 +290,7 @@ def test_stage_solve_matches_coupled_direct_solve(params, rng, monkeypatch, k, e
         ops = SlabOperators(disc, k, 0.1)
         del calls[:]
         n = ops.inner_matrix.shape[0]
-        c = np.kron(np.eye(k), np.concatenate([np.zeros(3 * ops.n_bdm), disc.p_volume]))
+        c = np.kron(np.eye(k), np.concatenate([np.zeros(3 * ops.n_bdm), _p_volume(disc)]))
         bordered = sp.bmat([[_assembled_inner(ops), c.T], [c, None]], format="csc")
         for _ in range(2):
             rhs = rng.standard_normal(n)
@@ -385,7 +392,7 @@ def test_stored_pressures_have_zero_mean(cells, ell, k, slabs):
     case = mms.default_mms(params)
     traj = march(disc, k, TimeGrid(0.5, slabs), case.initial_state(disc), case.sources())
     p = traj.coeffs["p"]
-    assert np.all(np.abs(p @ disc.p_volume) <= 1e-14 * np.abs(p).max(axis=-1))
+    assert np.all(np.abs(p @ _p_volume(disc)) <= 1e-14 * np.abs(p).max(axis=-1))
 
 
 def _field_block_norms(ops, rhs, x):
@@ -395,8 +402,7 @@ def _field_block_norms(ops, rhs, x):
     out."""
     disc, nb = ops.disc, ops.n_bdm
     residual = (ops.inner_matrix @ x - rhs).reshape(ops.k, -1)
-    residual[:, 3 * nb:] = slab._remove_mode(residual[:, 3 * nb:], disc.p_constant,
-                                             disc.p_volume)
+    residual[:, 3 * nb:] = sps.remove_constant_load(disc.dgp, residual[:, 3 * nb:])
     residual = residual.ravel()
     rows = np.arange(len(rhs)) % ops.block_size
     blocks = (rows < nb, (nb <= rows) & (rows < 2 * nb),
@@ -471,7 +477,7 @@ def test_predicted_start_changes_nothing_but_cost(disc4, monkeypatch, k):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_polynomial_exactness(disc4, k):
-    case = mms.discrete_case(disc4, k, temporal="poly")
+    case = mms.DiscreteCase(disc4, mms.poly_factors(k))
     grid = TimeGrid(0.5, 3)
     traj = march(disc4, k, grid, case.initial_state(), case.sources())
     worst = 0.0
@@ -485,7 +491,7 @@ def test_polynomial_exactness(disc4, k):
 
 def test_polynomial_exactness_k3(disc4):
     # the slab machinery generalizes beyond the acceptance orders
-    case = mms.discrete_case(disc4, 3, temporal="poly")
+    case = mms.DiscreteCase(disc4, mms.poly_factors(3))
     traj = march(disc4, 3, TimeGrid(0.5, 2), case.initial_state(), case.sources())
     worst = 0.0
     for n in range(3):
@@ -513,7 +519,7 @@ def test_steady_state_reproduced(disc4):
 
 def test_slab_split_endpoint_agreement(disc4):
     # exactness case: one slab vs two slabs reach the same endpoint
-    case = mms.discrete_case(disc4, 2, temporal="poly")
+    case = mms.DiscreteCase(disc4, mms.poly_factors(2))
     one = march(disc4, 2, TimeGrid(0.4, 1), case.initial_state(), case.sources())
     two = march(disc4, 2, TimeGrid(0.4, 2), case.initial_state(), case.sources())
     for f in ("u", "v", "w", "p"):
@@ -523,7 +529,7 @@ def test_slab_split_endpoint_agreement(disc4):
 
 
 def test_endpoint_shared_between_slabs(disc4):
-    case = mms.discrete_case(disc4, 1, temporal="trig", omega=3.0)
+    case = mms.discrete_case(disc4, omega=3.0)
     grid = TimeGrid(0.5, 4)
     traj = march(disc4, 1, grid, case.initial_state(), case.sources())
     t1 = grid.endpoints[2]
@@ -537,7 +543,7 @@ def test_endpoint_shared_between_slabs(disc4):
 
 def test_eval_at_gauss_node_returns_block(disc4):
     for k in range(1, 5):
-        case = mms.discrete_case(disc4, k, temporal="trig", omega=3.0)
+        case = mms.discrete_case(disc4, omega=3.0)
         grid = TimeGrid(0.5, 2)
         traj = march(disc4, k, grid, case.initial_state(), case.sources())
         for j, s in enumerate(gauss_rule(k).nodes):   # Gauss nodes of slab 1
@@ -547,7 +553,7 @@ def test_eval_at_gauss_node_returns_block(disc4):
 
 def test_midpoint_is_endpoint_average_k1(disc4):
     # linear-in-time slabs: the Gauss-node (midpoint) value averages the ends
-    case = mms.discrete_case(disc4, 1, temporal="poly")
+    case = mms.DiscreteCase(disc4, mms.poly_factors(1))
     grid = TimeGrid(0.5, 1)
     traj = march(disc4, 1, grid, case.initial_state(), case.sources())
     mid = eval_at(traj, "u", 0.25)
@@ -556,7 +562,7 @@ def test_midpoint_is_endpoint_average_k1(disc4):
 
 
 def test_eval_linear_in_coefficients(disc4):
-    case = mms.discrete_case(disc4, 1, temporal="trig", omega=2.0)
+    case = mms.discrete_case(disc4, omega=2.0)
     grid = TimeGrid(0.5, 2)
     traj = march(disc4, 1, grid, case.initial_state(), case.sources())
     t = 0.3
@@ -568,7 +574,7 @@ def test_eval_linear_in_coefficients(disc4):
 
 
 def test_eval_outside_interval_rejected(disc4):
-    case = mms.discrete_case(disc4, 1, temporal="poly")
+    case = mms.DiscreteCase(disc4, mms.poly_factors(1))
     traj = march(disc4, 1, TimeGrid(0.5, 1), case.initial_state(), case.sources())
     with pytest.raises(ValueError):
         eval_at(traj, "u", -0.1)
@@ -603,7 +609,7 @@ def test_chunked_loads_leave_the_march_unchanged(disc4, monkeypatch, chunk):
 def test_first_slab_stores_the_initial_state(disc4, discrete):
     # the march carries free-DOF blocks and writes them into the free DOFs;
     # both initial states have zero boundary-normal DOFs, so nothing is lost
-    case = mms.discrete_case(disc4, 2) if discrete else mms.default_mms(disc4.params)
+    case = mms.discrete_case(disc4) if discrete else mms.default_mms(disc4.params)
     initial = case.initial_state(disc4)
     grid = TimeGrid(0.5, 2)
     traj = march(disc4, 2, grid, initial, case.sources())
@@ -688,7 +694,7 @@ def test_assembly_independent_of_the_callers_blas_threads(blas_pools):
         runs.append([getattr(disc, name) for name in (
             "mass_bdm", "mass_kinv", "elasticity", "div_w", "div_u_alpha", "mass_p",
             "time_derivative_block", "stationary_block")]
-            + [disc.p_volume, sps.interpolate_vector_field(disc.bdm, u),
+            + [_p_volume(disc), sps.interpolate_vector_field(disc.bdm, u),
                assemble_elasticity_rhs(disc.bdm, u, grad_u, params.mu, params.lam,
                                        params.eta)])
     for first, second in zip(*runs):

@@ -223,10 +223,41 @@ def test_scalar_polynomial_reproduction(degree, rng):
     assert np.abs(vals - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
 
 
-def test_remove_mean(mesh2):
+def test_mass_diagonal_is_shared_and_dgp_only(mesh2):
+    # its values are checked against the quadrature mass through
+    # Discretization.mass_p (tests/test_assembly.py)
     space = sps.build_space(mesh2, "DGP", 1)
-    coeffs = sps.project_scalar_field(space, lambda x: 1.7 + x[:, 0])
-    balanced = sps.remove_mean(space, coeffs)
-    vals = space.values_on_quadrature(balanced)
-    mean = np.einsum("cq,cq->", space.volume.weights, vals)
-    assert abs(mean) <= 1e-12
+    assert np.array_equal(space.mass_diagonal, np.repeat(mesh2.areas, 3))
+    assert space.mass_diagonal is space.mass_diagonal
+    assert not space.mass_diagonal.flags.writeable
+    with pytest.raises(ValueError):
+        sps.build_space(mesh2, "BDM", 1).mass_diagonal
+
+
+def test_remove_mean(mesh2, perturbed_mesh):
+    # both helpers act on mode 0 alone, without quadrature; quadrature is the
+    # reference here, on stacks of rows and on meshes of unequal cells
+    rng = np.random.default_rng(5)
+    for mesh in (mesh2, perturbed_mesh, refine_uniform(perturbed_mesh)):
+        for degree in (0, 1):
+            space = sps.build_space(mesh, "DGP", degree)
+            tab, nloc = space.volume, space.element.dim
+            coeffs = np.stack([sps.project_scalar_field(space, lambda x: 1.7 + x[:, 0]),
+                               rng.standard_normal(space.ndofs)])
+            balanced = sps.remove_mean(space, coeffs)
+            means = np.einsum("cq,cqi,sci->s", tab.weights, tab.values,
+                              balanced[:, space.cell_dofs])
+            assert np.all(np.abs(means) <= 1e-14 * np.abs(coeffs).max(axis=1))
+            assert np.array_equal(np.delete(balanced, np.s_[::nloc], axis=1),
+                                  np.delete(coeffs, np.s_[::nloc], axis=1))
+            np.testing.assert_allclose(sps.remove_mean(space, coeffs[1]), balanced[1],
+                                       rtol=0.0, atol=1e-15 * np.abs(coeffs[1]).max())
+
+            # the load of the constant 1, stripped, acts on the constant 1 no more
+            one = np.einsum("cq,cqi->ci", tab.weights, tab.values).ravel()
+            loads = np.stack([one, rng.standard_normal(space.ndofs)])
+            stripped = sps.remove_constant_load(space, loads)
+            constant = sps.project_scalar_field(space, lambda x: np.ones(len(x)))
+            assert np.all(np.abs(stripped @ constant)
+                          <= 1e-14 * (np.abs(loads) @ np.abs(constant)))
+            assert np.abs(stripped[0]).max() <= 1e-14 * np.abs(one).max()

@@ -40,7 +40,7 @@ def test_eoc_input_validation():
 # --- error norms ----------------------------------------------------------------------
 
 def test_exact_trajectory_has_tiny_errors(disc4):
-    case = mms.discrete_case(disc4, 1, temporal="poly")
+    case = mms.DiscreteCase(disc4, mms.poly_factors(1))
     traj = march(disc4, 1, TimeGrid(0.5, 2), case.initial_state(), case.sources())
     errs = ver.trajectory_errors(traj, case)
     assert max(errs.values()) <= 1e-9
@@ -107,7 +107,7 @@ def _check_against_per_sample_loop(kind, k, ell, mesh_n, n_slabs, l2_in_time):
         case = mms.default_mms(params, omega=3.0)
         initial = case.initial_state(disc)
     else:
-        case = mms.discrete_case(disc, k, temporal="trig", omega=3.0)
+        case = mms.discrete_case(disc, omega=3.0)
         initial = case.initial_state()
     traj = march(disc, k, TimeGrid(0.5, n_slabs), initial, case.sources())
     got = ver.trajectory_errors(traj, case, l2_in_time=l2_in_time)
@@ -145,7 +145,7 @@ def test_temporal_orders_in_both_norms(disc4, k):
     """cGP(k) in time on a case with no spatial error: the L2-in-time norms and
     the true maximum over off-node times converge at k+1; the endpoint
     combined measure superconverges at 2k (Aziz & Monk 1989)."""
-    case = mms.discrete_case(disc4, k, temporal="trig", omega=4.0)
+    case = mms.discrete_case(disc4, omega=4.0)
     levels = []
     for num_slabs in TEMPORAL_LEVELS[k]:
         grid = TimeGrid(0.5, num_slabs)
@@ -240,10 +240,11 @@ def test_quadratic_form_norms_match_quadrature(mesh_name, ell, vector_degree):
     """With no exact field, field_error_norms measures coefficient stacks as
     quadratic forms of Gram matrices; ``exact={}`` measures the same stacks by
     quadrature.  Random stacks, boundary DOFs included, agreed to 7.5e-16
-    relative over these cases (bound 1e-14).  Smooth fields' interpolants
-    lose digits to cancellation in the semidefinite h^2 Gram of BDM_2: 2.4e-13
-    in u_DG on the anisotropic mesh at ell = 1 (bound 1e-12), growing like
-    1/h^2 (1.2e-12 on 8x8, 7.2e-12 on 16x16)."""
+    relative over these cases, and smooth fields' interpolants to 4.6e-15
+    (bound 1e-14 for both).  The semidefinite divergence and h^2 terms are
+    sums of squares of tabulations, so no cancellation grows with 1/h^2: a
+    quadratic form of their Gram matrices read u_DG 2.4e-13 off here and
+    7.2e-12 off on 16x16."""
     params = asm.PhysicalParams(eta=16.0) if ell else asm.PhysicalParams()
     disc = Discretization(FORM_MESHES[mesh_name], ell, params, vector_degree=vector_degree)
     rng = np.random.default_rng(11)
@@ -254,12 +255,35 @@ def test_quadratic_form_norms_match_quadrature(mesh_name, ell, vector_degree):
                            sps.interpolate_vector_field(disc.bdm, mms.W)])
               for f in ("u", "v", "w")}
     smooth["p"] = np.array([sps.project_scalar_field(disc.dgp, mms.P)] * 2)
-    for coeffs, bound in ((random, 1e-14), (smooth, 1e-12)):
+    for coeffs, bound in ((random, 1e-14), (smooth, 1e-14)):
         forms = ver.field_error_norms(disc, coeffs)
         quadrature = ver.field_error_norms(disc, coeffs, {})
         assert sorted(forms) == sorted(quadrature)
         for key, want in quadrature.items():
             np.testing.assert_allclose(forms[key], want, rtol=bound, atol=0.0, err_msg=key)
+
+
+@pytest.mark.parametrize("mesh_name, ell", [(name, ell) for name in FORM_MESHES for ell in (0, 1)])
+def test_divergence_free_field_reads_its_quadrature_divergence(mesh_name, ell):
+    """The interpolant of curl sin(3x + 2y) is divergence-free up to rounding
+    and its dense-quadrature moments: quadrature reads u_div 4e-15 to 8e-12
+    at L2 norm 2.6.  A quadratic form of the divergence Gram matrix read it at
+    the square root of a rounding residue, up to 6.5e-7 here; the sum of
+    squares of the divergence tabulation reads what quadrature reads."""
+    params = asm.PhysicalParams(eta=16.0) if ell else asm.PhysicalParams()
+    disc = Discretization(FORM_MESHES[mesh_name], ell, params)
+
+    def curl(x):
+        c = np.cos(3.0 * x[..., 0] + 2.0 * x[..., 1])
+        return np.stack([2.0 * c, -3.0 * c], axis=-1)
+
+    zeros = np.zeros((1, disc.bdm.ndofs))
+    coeffs = {"u": sps.interpolate_vector_field(disc.bdm, curl)[None], "v": zeros,
+              "w": zeros, "p": np.zeros((1, disc.dgp.ndofs))}
+    forms = ver.field_error_norms(disc, coeffs)
+    quadrature = ver.field_error_norms(disc, coeffs, {})
+    assert quadrature["u_div"][0] <= 1e-11 * quadrature["u_L2"][0]
+    assert abs(forms["u_div"][0] - quadrature["u_div"][0]) <= 1e-12 * forms["u_L2"][0]
 
 
 @pytest.mark.parametrize("kind", ["trig", "discrete"])
@@ -270,7 +294,7 @@ def test_dropping_l2_in_time_changes_no_other_key(params, kind, k):
         case = mms.default_mms(params, omega=3.0)
         initial = case.initial_state(disc)
     else:
-        case = mms.discrete_case(disc, k, temporal="trig", omega=3.0)
+        case = mms.discrete_case(disc, omega=3.0)
         initial = case.initial_state()
     traj = march(disc, k, TimeGrid(0.5, 3), initial, case.sources())
     full = ver.trajectory_errors(traj, case)
