@@ -13,8 +13,11 @@ Where the digests differ, it lists the output files, by relative path, whose
 bytes differ on the first such seed, the largest relative change of any CSV
 cell over all seeds, with its file, column and seed, and per CSV file the
 largest relative change of each row (a study level) over all seeds, to be
-read against the rounding noise of that level.  The trees are only read; the
-exit status is 1 if any check failed.
+read against the rounding noise of that level, and how many snapshot files,
+summed over the seeds whose digests differ, decode to values that are not
+bitwise equal (``read_legacy_vtk``: ASCII and binary files of the same values
+count as equal).  The trees are only read; the exit status is 1 if any check
+failed.
 """
 
 import hashlib
@@ -25,6 +28,8 @@ import subprocess
 import sys
 import tempfile
 from itertools import zip_longest
+
+import numpy as np
 
 SEEDS = range(8)
 
@@ -46,6 +51,84 @@ def _file_hashes(out_dir: str) -> dict[str, str]:
             path = os.path.join(root, name)
             with open(path, "rb") as handle:
                 hashes[os.path.relpath(path, out_dir)] = hashlib.sha256(handle.read()).hexdigest()
+    return hashes
+
+
+def read_legacy_vtk(path: str) -> dict[str, np.ndarray]:
+    """The arrays of a legacy VTK file as this project writes it, ASCII or
+    BINARY (big-endian float64 and int32), keyed by block: ``POINTS`` and
+    ``VECTORS`` as (n, 3), ``CELLS``, ``CELL_TYPES``, ``VERTICES`` and
+    ``SCALARS`` flat, data arrays by their name.  Values come back float64 or
+    int32 in native order, so both encodings of the same arrays decode equal.
+    Strict: raises ValueError unless every block holds exactly the values its
+    header counts and the file ends right after the last block."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    pos = 0
+
+    def line() -> str:
+        nonlocal pos
+        end = data.find(b"\n", pos)
+        if end < 0:
+            raise ValueError(f"{path}: line at byte {pos} has no end")
+        text, pos = data[pos:end].decode("ascii"), end + 1
+        return text
+
+    if line() != "# vtk DataFile Version 3.0":
+        raise ValueError(f"{path}: not a legacy VTK 3.0 file")
+    line()                                  # title
+    encoding, _ = line(), line()            # ASCII or BINARY, DATASET kind
+    if encoding not in ("ASCII", "BINARY"):
+        raise ValueError(f"{path}: unknown encoding {encoding!r}")
+    arrays, count = {}, 0
+    while pos < len(data):
+        words = line().split()
+        key = words[0] if words else ""
+        if key in ("CELL_DATA", "POINT_DATA"):
+            count = int(words[1])
+            continue
+        if key == "POINTS" and words[2:] == ["double"]:
+            name, shape, dtype = key, (int(words[1]), 3), ">f8"
+        elif len(words) == {"CELLS": 3, "VERTICES": 3, "CELL_TYPES": 2}.get(key):
+            name, shape, dtype = key, (int(words[-1]),), ">i4"
+        elif (key == "SCALARS" and words[2:] == ["double", "1"]
+              and line() == "LOOKUP_TABLE default"):
+            name, shape, dtype = words[1], (count,), ">f8"
+        elif key == "VECTORS" and words[2:] == ["double"]:
+            name, shape, dtype = words[1], (count, 3), ">f8"
+        else:
+            raise ValueError(f"{path}: unexpected block header {' '.join(words)!r}")
+        size = math.prod(shape)
+        if encoding == "BINARY":
+            end = pos + np.dtype(dtype).itemsize * size
+            if data[end:end + 1] != b"\n":
+                raise ValueError(f"{path}: block {name} does not hold {size} values")
+            values, pos = np.frombuffer(data[pos:end], dtype), end + 1
+        else:
+            tokens = []
+            while len(tokens) < size:
+                tokens += line().split()
+            if len(tokens) != size:
+                raise ValueError(f"{path}: block {name} does not hold {size} values")
+            values = np.array([(float if dtype == ">f8" else int)(t) for t in tokens], dtype)
+        arrays[name] = values.astype(dtype[1:]).reshape(shape)
+    return arrays
+
+
+def _vtk_hashes(out_dir: str) -> dict[str, str]:
+    """SHA-256 of the decoded arrays of every ``.vtk`` output file, names and
+    native bytes, keyed by its path relative to ``out_dir``: equal hashes mean
+    bitwise equal values (a -0.0 to 0.0 flip counts), whatever the encoding."""
+    hashes = {}
+    for root, _, files in os.walk(out_dir):
+        for name in files:
+            if name.endswith(".vtk"):
+                path = os.path.join(root, name)
+                digest = hashlib.sha256()
+                for key, values in read_legacy_vtk(path).items():
+                    digest.update(f"{key} {values.dtype.str} {values.shape}\n".encode())
+                    digest.update(values.tobytes())
+                hashes[os.path.relpath(path, out_dir)] = digest.hexdigest()
     return hashes
 
 
@@ -113,7 +196,7 @@ def _run_workload(name: str, seed: int) -> dict:
             workload.execute(inputs, out_dir)
         except SolverError:  # a failed solve is a failed check, as in the benchmark
             return {"digest": None, "failed": ["SolverError"],
-                    "deviation": math.inf, "files": {}, "csv": {}}
+                    "deviation": math.inf, "files": {}, "csv": {}, "vtk": {}}
         checks = workloads.check_outputs(workload, inputs, seed, out_dir)
         with open(workloads.REFERENCE_PATH, encoding="utf-8") as handle:
             reference = json.load(handle)[name][str(seed % workloads.PARAM_SETS)]
@@ -126,7 +209,8 @@ def _run_workload(name: str, seed: int) -> dict:
                 "failed": [check.name for check in checks if not check.passed],
                 "deviation": deviation,
                 "files": _file_hashes(out_dir),
-                "csv": _csv_tables(out_dir)}
+                "csv": _csv_tables(out_dir),
+                "vtk": _vtk_hashes(out_dir)}
 
 
 def child(root: str, *args: str) -> None:
@@ -147,6 +231,7 @@ def main(old: str, new: str) -> int:
         equal, worst, failed, differing = 0, {"old": 0.0, "new": 0.0}, [], None
         largest = (0.0, "", None)    # relative CSV change, where, seed
         by_row = {}                  # CSV file -> largest relative change per row
+        vtk_changed, vtk_files = 0, 0    # decoded snapshot files that differ, all compared
         for seed in SEEDS:
             runs = {side: json.loads(_child(root, name, str(seed))) for side, root in roots.items()}
             digest = runs["old"]["digest"]
@@ -158,6 +243,10 @@ def main(old: str, new: str) -> int:
                 for path, rows in _row_changes(runs["old"]["csv"], runs["new"]["csv"]).items():
                     by_row[path] = [max(a, b) for a, b in zip_longest(
                         by_row.get(path, []), (c for c, _ in rows), fillvalue=0.0)]
+                old_vtk, new_vtk = runs["old"]["vtk"], runs["new"]["vtk"]
+                vtk_paths = old_vtk.keys() | new_vtk.keys()
+                vtk_files += len(vtk_paths)
+                vtk_changed += sum(old_vtk.get(path) != new_vtk.get(path) for path in vtk_paths)
             if not same and differing is None:
                 old_files, new_files = runs["old"]["files"], runs["new"]["files"]
                 differing = seed, sorted(path for path in old_files.keys() | new_files.keys()
@@ -177,6 +266,9 @@ def main(old: str, new: str) -> int:
             for path, rows in sorted(by_row.items()):
                 if any(rows):
                     print(f"{'':12s} {path} per row: {' '.join(f'{c:.2g}' for c in rows)}")
+            if vtk_files:
+                print(f"{'':12s} snapshot files with different decoded values: "
+                      f"{vtk_changed} of {vtk_files}")
     return 1 if any_failed else 0
 
 

@@ -60,23 +60,21 @@ class Mesh:
         return float(self.areas.sum())
 
     @cached_property
-    def _vtk_grid_text(self) -> str:
-        """Legacy VTK header and geometry of the cells, formatted once per mesh."""
+    def _vtk_grid(self) -> bytes:
+        """Legacy VTK header and geometry of the cells, encoded once per mesh."""
         nc = self.num_cells
-        return ("# vtk DataFile Version 3.0\nbiotcgp mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n"
-                + f"POINTS {self.num_vertices} double\n"
-                + _rows("%.17g %.17g 0\n", self.vertices)
-                + f"CELLS {nc} {4 * nc}\n" + _rows("3 %d %d %d\n", self.cells)
-                + f"CELL_TYPES {nc}\n" + "5\n" * nc)
+        return (b"# vtk DataFile Version 3.0\nbiotcgp mesh\nBINARY\nDATASET UNSTRUCTURED_GRID\n"
+                + _block(f"POINTS {self.num_vertices} double", _xyz(self.vertices))
+                + _block(f"CELLS {nc} {4 * nc}", np.c_[np.full(nc, 3), self.cells])
+                + _block(f"CELL_TYPES {nc}", np.full(nc, 5)))
 
     @cached_property
-    def _vtk_edge_points_text(self) -> str:
-        """Legacy VTK header and edge-midpoint vertices, formatted once per mesh."""
+    def _vtk_edge_points(self) -> bytes:
+        """Legacy VTK header and edge-midpoint vertices, encoded once per mesh."""
         ne = self.num_edges
-        return ("# vtk DataFile Version 3.0\nbiotcgp edge samples\nASCII\nDATASET POLYDATA\n"
-                + f"POINTS {ne} double\n"
-                + _rows("%.17g %.17g 0\n", self.edge_midpoints)
-                + f"VERTICES {ne} {2 * ne}\n" + _rows("1 %d\n", np.arange(ne)))
+        return (b"# vtk DataFile Version 3.0\nbiotcgp edge samples\nBINARY\nDATASET POLYDATA\n"
+                + _block(f"POINTS {ne} double", _xyz(self.edge_midpoints))
+                + _block(f"VERTICES {ne} {2 * ne}", np.c_[np.ones(ne, int), np.arange(ne)]))
 
     def validate(self) -> None:
         """Check the structural invariants; raises AssertionError on violation."""
@@ -180,31 +178,38 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return fine
 
 
-def _rows(fmt: str, values: np.ndarray) -> str:
-    """One ``fmt`` line per row of ``values``, formatted in a single pass;
-    ``%.17g`` gives the same text as ``format(x, ".17g")`` for every float."""
-    return (fmt * len(values)) % tuple(values.ravel().tolist())
+def _block(header: str, array: np.ndarray) -> bytes:
+    """``header`` line(s), then ``array``'s big-endian bytes (int32 for integers,
+    float64 otherwise, both lossless here) and a closing newline."""
+    dtype = ">i4" if array.dtype.kind in "iu" else ">f8"
+    return f"{header}\n".encode() + np.ascontiguousarray(array, dtype).tobytes() + b"\n"
+
+
+def _xyz(points: np.ndarray) -> np.ndarray:
+    """(n, 2) points or vectors as the (n, 3) float64 rows that VTK stores."""
+    out = np.zeros((len(points), 3))
+    out[:, :2] = points
+    return out
 
 
 def write_vtk_mesh(mesh: Mesh, path: str,
                    cell_data: dict[str, np.ndarray] | None = None) -> None:
-    """Legacy ASCII UNSTRUCTURED_GRID export with optional per-cell scalars."""
-    parts = [mesh._vtk_grid_text]
+    """Legacy binary UNSTRUCTURED_GRID export with optional per-cell scalars."""
+    parts = [mesh._vtk_grid]
     if cell_data:
-        parts.append(f"CELL_DATA {mesh.num_cells}\n")
+        parts.append(f"CELL_DATA {mesh.num_cells}\n".encode())
         for name, values in cell_data.items():
-            parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            parts.append(_rows("%.17g\n", np.asarray(values, dtype=float)))
-    atomic_write_text(path, "".join(parts))
+            parts.append(_block(f"SCALARS {name} double 1\nLOOKUP_TABLE default",
+                                np.asarray(values, dtype=float)))
+    atomic_write_text(path, b"".join(parts))
 
 
 def write_vtk_edges(mesh: Mesh, path: str,
                     vectors: dict[str, np.ndarray] | None = None) -> None:
-    """Legacy ASCII POLYDATA export of edge midpoints with vector samples."""
-    parts = [mesh._vtk_edge_points_text]
+    """Legacy binary POLYDATA export of edge midpoints with vector samples."""
+    parts = [mesh._vtk_edge_points]
     if vectors:
-        parts.append(f"POINT_DATA {mesh.num_edges}\n")
+        parts.append(f"POINT_DATA {mesh.num_edges}\n".encode())
         for name, values in vectors.items():
-            parts.append(f"VECTORS {name} double\n")
-            parts.append(_rows("%.17g %.17g 0\n", np.asarray(values, dtype=float)))
-    atomic_write_text(path, "".join(parts))
+            parts.append(_block(f"VECTORS {name} double", _xyz(values)))
+    atomic_write_text(path, b"".join(parts))

@@ -52,6 +52,7 @@ left-end state.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -500,8 +501,6 @@ def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
 def export_snapshots(traj: Trajectory, out_dir: str) -> list[str]:
     """Write slab-endpoint snapshots: cell pressures plus the BDM fields at the
     edge midpoints, each evaluated in the edge's first adjacent cell."""
-    import os
-
     disc = traj.disc
     mesh = disc.mesh
     nloc = disc.dgp.element.dim

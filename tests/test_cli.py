@@ -1,10 +1,15 @@
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from biotcgp.cli import (_ALIASES, _PARAM_KEYS, _RUN_KEYS, ConfigError, RunConfig,
                          main, parse_config, run)
+from biotcgp.mesh import structured_mesh
+from biotcgp.mms import default_mms
+from biotcgp.slab import Discretization, TimeGrid, march
+from compare_script import read_legacy_vtk
 
 FLOAT_KEYS = ([("run", key) for key, kind in _RUN_KEYS.items() if kind is float]
               + [("params", key) for key, kind in _PARAM_KEYS.items() if kind is float])
@@ -151,6 +156,20 @@ def test_single_run_snapshots(tmp_path):
     snaps = sorted(os.listdir(tmp_path / "snapshots"))
     assert len(snaps) == 2 * (cfg.base_slabs + 1)
     assert os.path.exists(tmp_path / "single_run_errors.csv")
+
+    # the last snapshot pair decodes to the cell pressures of the same march,
+    # bit for bit, and to one edge sample per mesh edge
+    params = cfg.params()
+    disc = Discretization(structured_mesh(cfg.base_mesh, cfg.base_mesh), cfg.ell, params)
+    case = default_mms(params, cfg.omega)
+    traj = march(disc, cfg.k, TimeGrid(cfg.total_time, cfg.base_slabs),
+                 case.initial_state(disc), case.sources())
+    n = cfg.base_slabs
+    cell_file = read_legacy_vtk(str(tmp_path / "snapshots" / f"snapshot_{n:04d}.vtk"))
+    edge_file = read_legacy_vtk(str(tmp_path / "snapshots" / f"snapshot_{n:04d}_edges.vtk"))
+    want = traj.state_at_endpoint(n).p[0::disc.dgp.element.dim]
+    assert np.array_equal(cell_file["pressure"].view(np.uint64), want.view(np.uint64))
+    assert edge_file["POINTS"].shape == (disc.mesh.num_edges, 3)
 
 
 def test_cli_flags_override(tmp_path):

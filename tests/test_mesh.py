@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from biotcgp.mesh import refine_uniform, structured_mesh, write_vtk_edges, write_vtk_mesh
 from biotcgp.spaces import build_space
+from compare_script import read_legacy_vtk
 
 
 def test_unit_square_single_quad_counts(mesh1):
@@ -97,17 +99,17 @@ def test_boundary_normal_points_outward(mesh1):
 def test_vtk_exports(tmp_path, mesh2):
     mesh_path = os.path.join(tmp_path, "mesh.vtk")
     write_vtk_mesh(mesh2, mesh_path, {"p": np.arange(mesh2.num_cells, dtype=float)})
-    text = open(mesh_path).read()
-    assert text.startswith("# vtk DataFile Version 3.0")
-    assert "DATASET UNSTRUCTURED_GRID" in text
-    assert f"CELLS {mesh2.num_cells}" in text
-    assert "SCALARS p double 1" in text
+    data = open(mesh_path, "rb").read()
+    assert data.startswith(b"# vtk DataFile Version 3.0\nbiotcgp mesh\nBINARY\n")
+    assert b"\nDATASET UNSTRUCTURED_GRID\n" in data
+    assert f"\nCELLS {mesh2.num_cells} ".encode() in data
+    assert b"\nSCALARS p double 1\nLOOKUP_TABLE default\n" in data
 
     edge_path = os.path.join(tmp_path, "edges.vtk")
     write_vtk_edges(mesh2, edge_path, {"w": np.ones((mesh2.num_edges, 2))})
-    text = open(edge_path).read()
-    assert "DATASET POLYDATA" in text
-    assert "VECTORS w double" in text
+    data = open(edge_path, "rb").read()
+    assert b"\nDATASET POLYDATA\n" in data
+    assert b"\nVECTORS w double\n" in data
 
 
 # -0.0, the smallest subnormal, a huge value, an inexact decimal, a repeating
@@ -115,37 +117,62 @@ def test_vtk_exports(tmp_path, mesh2):
 AWKWARD = np.array([-0.0, 5e-324, 1e300, 0.1, -1.0 / 3.0, 7.0])
 
 
-def test_vtk_bytes_match_per_row_formatting(tmp_path, mesh2):
-    def g(x):
-        return format(x, ".17g")
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def test_vtk_binary_round_trip_keeps_every_bit(tmp_path, mesh2):
+    # the expected files are built row by row with struct, independently of
+    # the writers' numpy encoding: big-endian float64 and int32
+    def f8(*xs):
+        return struct.pack(f">{len(xs)}d", *xs)
+
+    def i4(*xs):
+        return struct.pack(f">{len(xs)}i", *xs)
 
     nv, nc, ne = mesh2.num_vertices, mesh2.num_cells, mesh2.num_edges
     scalars = {"p": np.resize(AWKWARD, nc), "q": -np.resize(AWKWARD[::-1], nc)}
     vectors = {"u": np.resize(AWKWARD, (ne, 2)), "w": np.resize(AWKWARD[::-1], (ne, 2))}
-    grid = (["# vtk DataFile Version 3.0", "biotcgp mesh", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
-            + [f"{g(x)} {g(y)} 0" for x, y in mesh2.vertices.tolist()]
-            + [f"CELLS {nc} {4 * nc}"] + [f"3 {a} {b} {c}" for a, b, c in mesh2.cells.tolist()]
-            + [f"CELL_TYPES {nc}"] + ["5"] * nc)
-    cell_data = [f"CELL_DATA {nc}"]
+    grid = (b"# vtk DataFile Version 3.0\nbiotcgp mesh\nBINARY\nDATASET UNSTRUCTURED_GRID\n"
+            + f"POINTS {nv} double\n".encode()
+            + b"".join(f8(x, y, 0.0) for x, y in mesh2.vertices.tolist()) + b"\n"
+            + f"CELLS {nc} {4 * nc}\n".encode()
+            + b"".join(i4(3, a, b, c) for a, b, c in mesh2.cells.tolist()) + b"\n"
+            + f"CELL_TYPES {nc}\n".encode() + i4(*[5] * nc) + b"\n")
+    cell_data = f"CELL_DATA {nc}\n".encode()
     for name, values in scalars.items():
-        cell_data += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-        cell_data += [g(v) for v in values.tolist()]
-    points = (["# vtk DataFile Version 3.0", "biotcgp edge samples", "ASCII",
-               "DATASET POLYDATA", f"POINTS {ne} double"]
-              + [f"{g(x)} {g(y)} 0" for x, y in mesh2.edge_midpoints.tolist()]
-              + [f"VERTICES {ne} {2 * ne}"] + [f"1 {i}" for i in range(ne)])
-    point_data = [f"POINT_DATA {ne}"]
+        cell_data += f"SCALARS {name} double 1\nLOOKUP_TABLE default\n".encode()
+        cell_data += f8(*values.tolist()) + b"\n"
+    points = (b"# vtk DataFile Version 3.0\nbiotcgp edge samples\nBINARY\nDATASET POLYDATA\n"
+              + f"POINTS {ne} double\n".encode()
+              + b"".join(f8(x, y, 0.0) for x, y in mesh2.edge_midpoints.tolist()) + b"\n"
+              + f"VERTICES {ne} {2 * ne}\n".encode()
+              + b"".join(i4(1, i) for i in range(ne)) + b"\n")
+    point_data = f"POINT_DATA {ne}\n".encode()
     for name, values in vectors.items():
-        point_data += [f"VECTORS {name} double"]
-        point_data += [f"{g(x)} {g(y)} 0" for x, y in values.tolist()]
-    awkward_text = "-0\n4.9406564584124654e-324\n1.0000000000000001e+300\n0.10000000000000001\n"
-    assert awkward_text in "\n".join(cell_data)
+        point_data += f"VECTORS {name} double\n".encode()
+        point_data += b"".join(f8(x, y, 0.0) for x, y in values.tolist()) + b"\n"
+    assert f8(*AWKWARD[:2]) == bytes.fromhex("8000000000000000 0000000000000001")
 
     cases = [(write_vtk_mesh, None, grid), (write_vtk_mesh, scalars, grid + cell_data),
              (write_vtk_edges, None, points), (write_vtk_edges, vectors, points + point_data)]
     for i, (write, data, want) in enumerate(cases):
         path = os.path.join(tmp_path, f"{i}.vtk")
         write(mesh2, path, data)
-        with open(path, encoding="utf-8", newline="") as handle:
-            assert handle.read() == "\n".join(want) + "\n"
+        with open(path, "rb") as handle:
+            assert handle.read() == want
+
+    # decoded back, every value keeps its bits: the sign of -0.0 and the subnormal
+    grid_arrays = read_legacy_vtk(os.path.join(tmp_path, "1.vtk"))
+    assert np.array_equal(_bits(grid_arrays["POINTS"][:, :2]), _bits(mesh2.vertices))
+    assert np.array_equal(grid_arrays["CELLS"].reshape(nc, 4), np.c_[np.full(nc, 3), mesh2.cells])
+    assert np.array_equal(grid_arrays["CELL_TYPES"], np.full(nc, 5))
+    for name, values in scalars.items():
+        assert np.array_equal(_bits(grid_arrays[name]), _bits(values))
+    point_arrays = read_legacy_vtk(os.path.join(tmp_path, "3.vtk"))
+    assert np.array_equal(_bits(point_arrays["POINTS"][:, :2]), _bits(mesh2.edge_midpoints))
+    assert np.array_equal(point_arrays["VERTICES"].reshape(ne, 2),
+                          np.c_[np.ones(ne), np.arange(ne)])
+    for name, values in vectors.items():
+        assert np.array_equal(_bits(point_arrays[name][:, :2]), _bits(values))
+        assert np.array_equal(_bits(point_arrays[name][:, 2]), _bits(np.zeros(ne)))

@@ -83,7 +83,7 @@ def test_tracer_reads_every_slab_residual(monkeypatch, params, k):
 
 
 def test_tracer_sees_every_snapshot_file_and_one_tabulation(monkeypatch, params, tmp_path):
-    # single_run's layer split puts the VTK text under io.format, one span per
+    # single_run's layer split puts the VTK encoding under io.format, one span per
     # file, and the edge-midpoint table under spaces.tabulate_at, once per export
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from spans import Tracer

@@ -16,6 +16,7 @@ from biotcgp.slab import (Discretization, SlabOperators, SlabState, SourceSet,
                           TimeGrid, march, project_initial_data)
 from biotcgp.time_basis import MAX_ORDER, composite_simpson, gauss_rule, lagrange_basis
 from biotcgp.verification import mass_conservation_audit
+from compare_script import read_legacy_vtk
 from sampling import eval_at
 
 
@@ -712,20 +713,19 @@ def test_snapshot_export(tmp_path, disc4):
     paths = export_snapshots(traj, str(tmp_path))
     assert len(paths) == 4    # 2 endpoints x (mesh + edge samples)
     for p in paths:
-        text = open(p).read()
-        assert text.startswith("# vtk DataFile")
+        with open(p, "rb") as handle:
+            assert handle.read().startswith(b"# vtk DataFile Version 3.0\n")
     # the edge vectors are the BDM fields at the edge midpoints, evaluated in
     # the first adjacent cell, one tabulate_at call per snapshot and field
     mesh, bdm = disc4.mesh, disc4.bdm
     cells = mesh.edge_cells[:, 0]
     for n, path in enumerate(paths[1::2]):
-        lines = open(path).read().splitlines()
+        arrays = read_legacy_vtk(path)
         state = traj.state_at_endpoint(n)
         for f in ("u", "v", "w"):
-            start = lines.index(f"VECTORS {f} double") + 1
-            rows = [line.split() for line in lines[start:start + mesh.num_edges]]
-            assert all(row[2] == "0" for row in rows)
-            got = np.array([[float(x), float(y)] for x, y, _ in rows])
+            assert arrays[f].shape == (mesh.num_edges, 3)
+            assert np.all(arrays[f][:, 2] == 0.0)
+            got = arrays[f][:, :2]
             vals = bdm.tabulate_at(cells, mesh.edge_midpoints[:, None, :])
             want = np.einsum("eqia,ei->ea", vals, getattr(state, f)[bdm.cell_dofs[cells]])
             assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
