@@ -184,11 +184,8 @@ def assemble_gram(space: FunctionSpace, weights: np.ndarray, left: np.ndarray,
 def assemble_rows(space: FunctionSpace, weights: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
     """Volume table of ``space`` as a matrix B scaled by sqrt(weights), so
     ||B c||^2, the weighted integral of the tabulated field squared, is a sum
-    of squares.  A cell has a row per (component, point), or where those
-    outnumber its DOFs the rows of their R factor, with the same squares."""
+    of squares, with a row per cell, component and point."""
     rows = _flat(table * np.sqrt(weights).reshape(weights.shape + (1,) * (table.ndim - 2)))
-    if rows.shape[1] > rows.shape[2]:
-        rows = np.linalg.qr(rows, mode="r")
     index = np.arange(rows.shape[0] * rows.shape[1]).reshape(rows.shape[:2])
     return _scatter((index.size, space.ndofs), (index, space.cell_dofs, rows))
 

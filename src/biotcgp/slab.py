@@ -179,17 +179,18 @@ class Discretization:
 
     @cached_property
     def div_rows(self) -> sp.csr_matrix:
-        """B with ||B u||^2 the squared L2 norm of div u, computed in the BDM
-        space itself; the pressure-space ``div_coefficients`` are exact only
-        for a div-compatible pairing."""
-        tab = self.bdm.volume
-        return asm.assemble_rows(self.bdm, tab.weights, tab.divs)
+        """B with ||B u||^2 the squared L2 norm of div u, which lies in P_{r-1}
+        on a cell: its moments against the modal P_{r-1} of the BDM degree r,
+        over their norms sqrt(|K|); exact whatever the pressure space."""
+        modal = build_space(self.mesh, "DGP", self.bdm.degree - 1, None, self.bdm.quad_degree)
+        coupling = asm.assemble_div_coupling(self.bdm, modal, 1.0)
+        return (sp.diags(modal.mass_diagonal ** -0.5) @ coupling.T).tocsr()
 
     @cached_property
     def h2_rows(self) -> sp.csr_matrix:
-        """B with ||B u||^2 the h_K^2-weighted broken H2 seminorm squared; BDM
-        degree >= 2 only (BDM_1 has no second derivatives)."""
-        weights = self.mesh.h_cell[:, None] ** 2 * self.bdm.volume.weights
+        """B with ||B u||^2 the h_K^2-weighted broken H2 seminorm squared, of the
+        second derivatives constant on each cell; BDM degree >= 2 only."""
+        weights = (self.mesh.h_cell ** 2 * self.mesh.areas)[:, None]
         return asm.assemble_rows(self.bdm, weights, self.bdm.volume_seconds)
 
     @cached_property
@@ -425,13 +426,12 @@ class Trajectory:
     def endpoint(self, field_name: str, n: int) -> np.ndarray:
         """Field coefficients at t_n (n = 0..N).
 
-        Interior endpoints return the stored node-0 row of the following slab,
-        which is exactly the value the march evaluated at the right end of
-        slab n (shared storage), so both adjacent slabs agree bitwise.
+        Every endpoint but the last returns the stored node-0 row of the slab
+        that starts there: the initial data at t_0, and at an interior one
+        exactly the value the march evaluated at the right end of the slab
+        before (shared storage), so both adjacent slabs agree bitwise.
         """
         c = self.coeffs[field_name]
-        if n == 0:
-            return c[0, 0]
         if n < self.grid.num_slabs:
             return c[n, 0]
         return np.einsum("i,id->d", self.end_weights, c[n - 1])

@@ -248,11 +248,11 @@ class FunctionSpace:
 
     @cached_property
     def volume_seconds(self) -> np.ndarray:
-        """Second derivatives at volume quadrature points; (nc, nq, nd, 2, 2, 2)."""
+        """Second derivatives, constant on a cell under the affine Piola map:
+        one row per cell, at the reference centroid; (nc, 1, nd, 2, 2, 2)."""
         if self.family != "BDM":
             raise ValueError("second-derivative tabulation only for BDM spaces")
-        qp, _ = el.triangle_rule(self.quad_degree)
-        return self._piola(np.arange(self.mesh.num_cells), qp, 2)[2]
+        return self._piola(np.arange(self.mesh.num_cells), np.full((1, 2), 1.0 / 3.0), 2)[2]
 
     @cached_property
     def mass_diagonal(self) -> np.ndarray:
@@ -351,15 +351,15 @@ def interpolate_vector_field(space: FunctionSpace, fn) -> np.ndarray:
 
 
 def project_scalar_field(space: FunctionSpace, fn) -> np.ndarray:
-    """Cell-local L2 projection onto the modal basis (diagonal mass)."""
+    """Cell-local L2 projection onto the modal basis: the physical moments
+    divided by the diagonal mass (``mass_diagonal``)."""
     if space.family != "DGP":
         raise ValueError("scalar projection requires a DGP space")
     qp, qw = el.triangle_rule(min(space.quad_degree + 4, 12))
     points = space._physical_points(qp)
     f = np.asarray(fn(points.reshape(-1, 2))).reshape(points.shape[:2])
-    vals = space.element.tabulate(qp)                                # (nq, nloc)
-    # physical cell mass is diag(cell area) for the scaled modal basis
-    return 2.0 * ((f * qw) @ vals).reshape(-1)
+    moments = space.cell_det[:, None] * ((f * qw) @ space.element.tabulate(qp))
+    return moments.reshape(-1) / space.mass_diagonal
 
 
 def remove_mean(space: FunctionSpace, coeffs: np.ndarray) -> np.ndarray:

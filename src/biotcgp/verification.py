@@ -6,7 +6,7 @@ H2 seminorm, and (for the full graph norm) the divergence; the combined error
 measure adds the density-weighted velocity/flux norm, the K^{-1/2} flux norm,
 and the sqrt(s0)-scaled pressure norm.  Errors that are themselves discrete
 fields are measured as quadratic forms of the coefficients (Gram or
-tabulation matrices); errors against an analytic field, by quadrature.
+row matrices); errors against an analytic field, by quadrature.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _coefficient_norms(disc: Discretization,
     """``field_error_norms`` of coefficient stacks (S, ndofs) that are the
     errors themselves, per sample: each squared norm is c^T G c of a Gram
     matrix G of ``disc``, or for the semidefinite divergence and h^2 terms
-    ||B c||^2 of a tabulation matrix B, whose sum of squares has no floor of
+    ||B c||^2 of a row matrix B, whose sum of squares has no floor of
     about sqrt(eps) times the whole field, as c^T B^T B c would."""
     prm = disc.params
     # one sample per column, in the C order that the sparse products read
@@ -107,7 +107,7 @@ def _coefficient_norms(disc: Discretization,
         return np.einsum("ds,ds->s", x if y is None else y, gram @ x)
 
     def squares(rows):
-        """||B u_s||^2 for every sample column s of a tabulation matrix B."""
+        """||B u_s||^2 for every sample column s of a row matrix B."""
         values = rows @ u
         return np.einsum("rs,rs->s", values, values)
 
@@ -176,7 +176,9 @@ def field_error_norms(disc: Discretization, coeffs: dict[str, np.ndarray],
 
     h2_w = mesh.h_cell[:, None] ** 2 * w
     if bdm.degree >= 2:
+        # the one second-derivative row of a cell, at each of its points
         sec_err = _on_points(bdm.volume_seconds, local["u"]) - exact_at("second_u")
+        sec_err = np.broadcast_to(sec_err, w.shape + sec_err.shape[2:])
         h2_sq = _integral(h2_w, sec_err * sec_err)
     elif "second_u" in exact:
         # BDM_1 has no discrete second derivatives, so the term is the exact

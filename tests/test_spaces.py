@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biotcgp import spaces as sps
+from biotcgp.elements import triangle_rule
 from biotcgp.mesh import refine_uniform, structured_mesh
 
 
@@ -151,7 +152,7 @@ def test_tabulated_derivatives_match_central_differences(degree, perturbed_mesh)
     pts = space.volume.points
     step = 1e-4
     fd_grads = np.empty(space.volume.grads.shape)
-    fd_seconds = np.empty(space.volume_seconds.shape)
+    fd_seconds = np.empty(space.volume.grads.shape + (2,))
     for d in range(2):
         shift = step * np.eye(2)[d]
         vp, gp = space.tabulate_at(cells, pts + shift, grads=True)
@@ -159,9 +160,22 @@ def test_tabulated_derivatives_match_central_differences(degree, perturbed_mesh)
         fd_grads[..., d] = (vp - vm) / (2.0 * step)
         fd_seconds[..., d] = (gp - gm) / (2.0 * step)
     fd_divs = np.trace(fd_grads, axis1=-2, axis2=-1)
+    # the one second-derivative row of a cell holds at every point of it
+    seconds = np.broadcast_to(space.volume_seconds, fd_seconds.shape)
     for tabulated, fd in ((space.volume.grads, fd_grads), (space.volume.divs, fd_divs),
-                          (space.volume_seconds, fd_seconds)):
+                          (seconds, fd_seconds)):
         assert np.abs(tabulated - fd).max() <= 1e-7 * max(1.0, np.abs(tabulated).max())
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_second_derivative_row_is_the_table_at_every_volume_point(degree, perturbed_mesh):
+    # the monomials' second derivatives are the same constants at every
+    # point, so the one row per cell is the point table bit for bit
+    space = sps.build_space(perturbed_mesh, "BDM", degree)
+    qp, _ = triangle_rule(space.quad_degree)
+    table = space._piola(np.arange(perturbed_mesh.num_cells), qp, 2)[2]
+    assert space.volume_seconds.shape == (perturbed_mesh.num_cells, 1) + table.shape[2:]
+    assert np.array_equal(np.broadcast_to(space.volume_seconds, table.shape), table)
 
 
 @pytest.mark.parametrize("degree", [1, 2])

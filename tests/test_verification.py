@@ -233,6 +233,20 @@ FORM_MESHES = {"structured": structured_mesh(3, 3),
                "anisotropic": structured_mesh(6, 2)}
 
 
+@pytest.mark.parametrize("ell, vector_degree", [(0, None), (1, None), (0, 2)])
+def test_error_rows_per_cell(ell, vector_degree):
+    """div BDM_r lies in P_{r-1} on each cell and the BDM_2 second derivatives
+    are constant there: ``div_rows`` holds one row per modal P_{r-1} function
+    of a cell (1 or 3 against its 6 or 12 DOFs) and ``h2_rows`` one per
+    component and derivative pair (8 against 12)."""
+    disc = Discretization(structured_mesh(4, 4), ell, asm.PhysicalParams(),
+                          vector_degree=vector_degree)
+    nc, r = disc.mesh.num_cells, disc.bdm.degree
+    assert disc.div_rows.shape == (nc * r * (r + 1) // 2, disc.bdm.ndofs)
+    if r >= 2:
+        assert disc.h2_rows.shape == (8 * nc, disc.bdm.ndofs)
+
+
 @pytest.mark.parametrize("mesh_name, ell, vector_degree",
                          [(name, ell, None) for name in FORM_MESHES for ell in (0, 1)]
                          + [("structured", 0, 2)])
@@ -242,7 +256,7 @@ def test_quadratic_form_norms_match_quadrature(mesh_name, ell, vector_degree):
     quadrature.  Random stacks, boundary DOFs included, agreed to 7.5e-16
     relative over these cases, and smooth fields' interpolants to 4.6e-15
     (bound 1e-14 for both).  The semidefinite divergence and h^2 terms are
-    sums of squares of tabulations, so no cancellation grows with 1/h^2: a
+    sums of squares of row matrices, so no cancellation grows with 1/h^2: a
     quadratic form of their Gram matrices read u_DG 2.4e-13 off here and
     7.2e-12 off on 16x16."""
     params = asm.PhysicalParams(eta=16.0) if ell else asm.PhysicalParams()
@@ -269,7 +283,7 @@ def test_divergence_free_field_reads_its_quadrature_divergence(mesh_name, ell):
     and its dense-quadrature moments: quadrature reads u_div 4e-15 to 8e-12
     at L2 norm 2.6.  A quadratic form of the divergence Gram matrix read it at
     the square root of a rounding residue, up to 6.5e-7 here; the sum of
-    squares of the divergence tabulation reads what quadrature reads."""
+    squares of the divergence rows reads what quadrature reads."""
     params = asm.PhysicalParams(eta=16.0) if ell else asm.PhysicalParams()
     disc = Discretization(FORM_MESHES[mesh_name], ell, params)
 
