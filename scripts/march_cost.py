@@ -8,7 +8,10 @@ marches of 16 and 128 slabs of ``discrete_case`` (trig factors, ell = 0,
 T = 0.5) on an N x N mesh, the minimum of ``--repeats`` runs each, and
 reports the slope between them as the per-slab cost and the intercept as the
 fixed cost (stage factorizations, first-slab solve).  On a noisy host the
-minimum and the slope isolate the per-slab layer.
+minimum and the slope isolate the per-slab layer.  On the 128-slab
+trajectory it also times the verification that a temporal study runs on every
+level: ``trajectory_errors`` (Linf samples only, as the studies call it) and
+``mass_conservation_audit``, the minimum of ``--repeats`` calls each.
 
 The kernel floor is what a slab cannot avoid: one stage solve, 2k products
 of the stacked slab block [T; S] (one per Gauss node in each of the two
@@ -30,18 +33,20 @@ from biotcgp.linalg import serial_blas
 from biotcgp.mesh import structured_mesh
 from biotcgp.mms import discrete_case
 from biotcgp.slab import Discretization, SlabOperators, TimeGrid, march
+from biotcgp.verification import mass_conservation_audit, trajectory_errors
 
 SLABS = (16, 128)
 TOTAL_TIME = 0.5
 
 
-def _march_seconds(disc, case, k, slabs, repeats):
+def _best_seconds(fn, repeats):
+    """Minimum wall time of ``repeats`` calls of ``fn``, and its last result."""
     best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()
-        march(disc, k, TimeGrid(TOTAL_TIME, slabs), case.initial_state(), case.sources())
+        result = fn()
         best = min(best, time.perf_counter() - start)
-    return best
+    return best, result
 
 
 def _kernel_seconds(fn, repeats, number=200):
@@ -58,8 +63,15 @@ def main():
 
     disc = Discretization(structured_mesh(args.mesh, args.mesh), 0, PhysicalParams())
     case = discrete_case(disc, 4.0)
-    march(disc, k, TimeGrid(TOTAL_TIME, 2), case.initial_state(), case.sources())  # warm caches
-    few, many = (_march_seconds(disc, case, k, n, args.repeats) for n in SLABS)
+    sources = case.sources()
+    march(disc, k, TimeGrid(TOTAL_TIME, 2), case.initial_state(), sources)  # warm caches
+    (few, _), (many, traj) = (
+        _best_seconds(lambda: march(disc, k, TimeGrid(TOTAL_TIME, n), case.initial_state(),
+                                    sources), args.repeats)
+        for n in SLABS)
+    errors = _best_seconds(lambda: trajectory_errors(traj, case, l2_in_time=False),
+                           args.repeats)[0]
+    audit = _best_seconds(lambda: mass_conservation_audit(traj, sources), args.repeats)[0]
     per_slab = (many - few) / (SLABS[1] - SLABS[0])
     fixed = few - SLABS[0] * per_slab
 
@@ -86,6 +98,9 @@ def main():
           f"T product {1e3 * t_product:.4f} ms x 1")
     print(f"glue per slab {1e3 * (per_slab - floor):.3f} ms; coupled matvec "
           f"{1e3 * matvec:.4f} ms against {1e3 * k * product:.4f} ms for its {k} products")
+    print(f"verification of the {SLABS[1]}-slab trajectory: trajectory_errors "
+          f"{1e3 * errors:.3f} ms, mass_conservation_audit {1e3 * audit:.3f} ms "
+          f"(min of {args.repeats})")
 
 
 if __name__ == "__main__":

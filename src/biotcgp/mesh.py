@@ -59,6 +59,28 @@ class Mesh:
     def domain_area(self) -> float:
         return float(self.areas.sum())
 
+    # The affine maps x = B xi + v0 of the reference triangle onto the cells:
+    # B (nc, 2, 2) with columns v1 - v0 and v2 - v0, v0 (nc, 2), det B (nc,),
+    # twice the signed area, and B^-1; computed once per mesh, read-only and
+    # shared by every space on it.
+    @cached_property
+    def cell_matrix(self) -> np.ndarray:
+        v = self.vertices[self.cells]
+        return _frozen(np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1))
+
+    @cached_property
+    def cell_origin(self) -> np.ndarray:
+        return _frozen(self.vertices[self.cells[:, 0]])
+
+    @cached_property
+    def cell_det(self) -> np.ndarray:
+        b = self.cell_matrix
+        return _frozen(b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0])
+
+    @cached_property
+    def cell_inverse(self) -> np.ndarray:
+        return _frozen(np.linalg.inv(self.cell_matrix))
+
     @cached_property
     def _vtk_grid(self) -> bytes:
         """Legacy VTK header and geometry of the cells, encoded once per mesh."""
@@ -176,6 +198,11 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     fine = _connect(vertices, children)
     fine.validate()
     return fine
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _block(header: str, array: np.ndarray) -> bytes:

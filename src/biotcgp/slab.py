@@ -63,8 +63,8 @@ from . import assembly as asm
 from .linalg import (RESIDUAL_TOL, BorderedFactor, LinearSystem, lu_factor, lu_solve,
                      pivot_ratios, serial_blas)
 from .mesh import Mesh, write_vtk_edges, write_vtk_mesh
-from .spaces import (build_space, interpolate_vector_field, project_scalar_field,
-                     remove_constant_load, remove_mean)
+from .spaces import (FunctionSpace, build_space, interpolate_vector_field,
+                     project_scalar_field, remove_constant_load, remove_mean)
 from .time_basis import gauss_rule, gauss_lobatto_rule, lagrange_basis
 
 __all__ = ["TimeGrid", "SlabState", "SourceSet", "Discretization", "SlabOperators",
@@ -179,12 +179,20 @@ class Discretization:
 
     @cached_property
     def div_rows(self) -> sp.csr_matrix:
-        """B with ||B u||^2 the squared L2 norm of div u, which lies in P_{r-1}
-        on a cell: its moments against the modal P_{r-1} of the BDM degree r,
-        over their norms sqrt(|K|); exact whatever the pressure space."""
-        modal = build_space(self.mesh, "DGP", self.bdm.degree - 1, None, self.bdm.quad_degree)
-        coupling = asm.assemble_div_coupling(self.bdm, modal, 1.0)
+        """B with ||B u||^2 the squared L2 norm of div u: its moments against
+        the modal basis of ``modal_coupling``, over their norms sqrt(|K|)."""
+        modal, coupling = self.modal_coupling
         return (sp.diags(modal.mass_diagonal ** -0.5) @ coupling.T).tocsr()
+
+    @cached_property
+    def modal_coupling(self) -> tuple[FunctionSpace, sp.csr_matrix]:
+        """The modal DGP space of degree max(r-1, ell), which holds every
+        pressure and div v of every BDM_r field v, and (q_j, div v_i) against
+        it; the pressure space and ``div_w`` unless r > ell + 1."""
+        if self.bdm.degree - 1 <= self.ell:
+            return self.dgp, self.div_w
+        modal = build_space(self.mesh, "DGP", self.bdm.degree - 1, None, self.bdm.quad_degree)
+        return modal, asm.assemble_div_coupling(self.bdm, modal, 1.0)
 
     @cached_property
     def h2_rows(self) -> sp.csr_matrix:

@@ -78,16 +78,8 @@ class FunctionSpace:
         self.bc = bc
         self.quad_degree = quad_degree
 
-        cells = mesh.cells
-        verts = mesh.vertices[cells]                       # (nc, 3, 2)
-        b = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
-        det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-        if np.any(det <= 0):
+        if np.any(mesh.cell_det <= 0):
             raise el.GeometryError("negatively oriented cell")
-        self.cell_matrix = b
-        self.cell_origin = verts[:, 0]
-        self.cell_det = det
-        self.cell_inverse = np.linalg.inv(b)
 
         if family == "BDM":
             self._init_bdm()
@@ -136,7 +128,7 @@ class FunctionSpace:
         # normal part of B m / det is m . (B^T n) / det
         exps = elem.exponents
         spt = elem.edge_points
-        b_t = np.swapaxes(self.cell_matrix, 1, 2)
+        b_t = np.swapaxes(mesh.cell_matrix, 1, 2)
         t = np.empty((nc, nloc, nloc))
         for le in range(3):
             eids = mesh.cell_edges[:, le]
@@ -144,14 +136,14 @@ class FunctionSpace:
             bv = mesh.vertices[mesh.edges[eids, 1]]
             normals = mesh.edge_normals[eids]              # global orientation
             pts = a[:, None, :] + spt[None, :, None] * (bv - a)[:, None, :]
-            ref = (pts - self.cell_origin[:, None, :]) @ np.swapaxes(self.cell_inverse, 1, 2)
+            ref = (pts - mesh.cell_origin[:, None, :]) @ np.swapaxes(mesh.cell_inverse, 1, 2)
             monos = el.eval_vector_monomials(exps, ref)    # (2nm, nc, npe, 2)
-            bn = (b_t @ normals[:, :, None]) / self.cell_det[:, None, None]   # (nc, 2, 1)
+            bn = (b_t @ normals[:, :, None]) / mesh.cell_det[:, None, None]   # (nc, 2, 1)
             t[:, le * npe:(le + 1) * npe, :] = np.moveaxis((monos @ bn)[..., 0], 0, -1)
         if ni:
             qp, qw = el.triangle_rule(max(self.quad_degree, 2 * self.degree + 2))
             monos = np.moveaxis(el.eval_vector_monomials(exps, qp), 0, -1)   # (nq, 2, 2nm)
-            phys = (self.cell_matrix[:, None] @ monos) / self.cell_det[:, None, None, None]
+            phys = (mesh.cell_matrix[:, None] @ monos) / mesh.cell_det[:, None, None, None]
             t[:, 3 * npe:, :] = self._interior_tests(qp, qw) @ phys.reshape(nc, -1, nloc)
         # dual coefficients: basis_i = sum_m dof_transform[c, m, i] piola(mono_m)
         self.dof_transform = np.linalg.inv(t)
@@ -172,7 +164,7 @@ class FunctionSpace:
         lam = np.stack([1.0 - ref_points[:, 0] - ref_points[:, 1],
                         ref_points[:, 0], ref_points[:, 1]])          # (3, nq)
         grad_ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])   # (3, 2)
-        grad_lam = grad_ref @ self.cell_inverse                        # (nc, 3, 2)
+        grad_lam = grad_ref @ self.mesh.cell_inverse                   # (nc, 3, 2)
         grad_b = (grad_lam[:, 0, None, :] * (lam[1] * lam[2])[None, :, None]
                   + grad_lam[:, 1, None, :] * (lam[0] * lam[2])[None, :, None]
                   + grad_lam[:, 2, None, :] * (lam[0] * lam[1])[None, :, None])
@@ -182,7 +174,8 @@ class FunctionSpace:
 
     def _physical_points(self, ref_points: np.ndarray) -> np.ndarray:
         """Images of shared reference points on every cell; (nc, nq, 2)."""
-        return ref_points @ np.swapaxes(self.cell_matrix, 1, 2) + self.cell_origin[:, None, :]
+        mesh = self.mesh
+        return ref_points @ np.swapaxes(mesh.cell_matrix, 1, 2) + mesh.cell_origin[:, None, :]
 
     def _piola(self, cells: np.ndarray, ref_points: np.ndarray, order: int) -> list:
         """Piola-mapped BDM basis data of ``cells`` at reference points, which
@@ -196,8 +189,8 @@ class FunctionSpace:
         """
         n = len(cells)
         coeffs = self.dof_transform[cells]                                # (n, m, nd)
-        bmat = self.cell_matrix[cells] / self.cell_det[cells][:, None, None]
-        binv_t = np.swapaxes(self.cell_inverse[cells], 1, 2)
+        bmat = self.mesh.cell_matrix[cells] / self.mesh.cell_det[cells][:, None, None]
+        binv_t = np.swapaxes(self.mesh.cell_inverse[cells], 1, 2)
         out = []
         for d in range(order + 1):
             ref = el.eval_vector_monomials(self.element.exponents, ref_points, d)
@@ -214,7 +207,7 @@ class FunctionSpace:
     def volume(self) -> VolumeTabulation:
         qp, qw = el.triangle_rule(self.quad_degree)
         points = self._physical_points(qp)
-        weights = self.cell_det[:, None] * qw[None, :]
+        weights = self.mesh.cell_det[:, None] * qw[None, :]
         if self.family == "DGP":
             vals = self.element.tabulate(qp)               # same on every cell
             values = np.broadcast_to(vals, (self.mesh.num_cells,) + vals.shape)
@@ -273,8 +266,8 @@ class FunctionSpace:
         Returns values (n, nq, nd, [2]) and optionally gradients.
         """
         cells = np.asarray(cells)
-        ref = ((points - self.cell_origin[cells][:, None, :])
-               @ np.swapaxes(self.cell_inverse[cells], 1, 2))
+        ref = ((points - self.mesh.cell_origin[cells][:, None, :])
+               @ np.swapaxes(self.mesh.cell_inverse[cells], 1, 2))
         if self.family == "DGP":
             vals = self.element.tabulate(ref)
             return (vals, None) if grads else vals
@@ -358,7 +351,7 @@ def project_scalar_field(space: FunctionSpace, fn) -> np.ndarray:
     qp, qw = el.triangle_rule(min(space.quad_degree + 4, 12))
     points = space._physical_points(qp)
     f = np.asarray(fn(points.reshape(-1, 2))).reshape(points.shape[:2])
-    moments = space.cell_det[:, None] * ((f * qw) @ space.element.tabulate(qp))
+    moments = space.mesh.cell_det[:, None] * ((f * qw) @ space.element.tabulate(qp))
     return moments.reshape(-1) / space.mass_diagonal
 
 

@@ -216,11 +216,13 @@ def _stacked_errors(disc: Discretization, case, values: dict[str, np.ndarray],
                              _profiles=profiles)
 
 
-# Samples (times, or the Gauss rows of the audit) evaluated together.  The
-# per-call overhead of a few samples dominates; a larger batch gains no more
-# time but holds (cells, points, samples) arrays: the whole audit in one pass
-# raised the temporal study's peak RSS by 8 MB, a batch of 16 samples by 2-3 MB.
+# Samples evaluated together; the per-call overhead of a few dominates.  A
+# quadrature batch holds (cells, points, samples) arrays: 16 samples raised the
+# spatial and single_run peak RSS by 0.5 and 1.1 MB.  A coefficient batch (the
+# errors of a DiscreteCase, the Gauss rows of the audit) holds (samples, DOFs)
+# arrays, yet the whole audit in one pass raised temporal's peak RSS by 0.8 MB.
 _CHUNK = 8
+_COEFFICIENT_CHUNK = 32
 
 
 def _slab_times(grid: TimeGrid, positions: np.ndarray) -> np.ndarray:
@@ -242,8 +244,10 @@ def trajectory_errors(traj: Trajectory, case, l2_in_time: bool = True) -> dict[s
     norms look, k-1 interior points plus its left end (and the right end of
     the last slab), and the other keys are unchanged.
 
-    The samples of consecutive slabs are evaluated together, ``_CHUNK`` at a
-    time, and the exact profiles once per point set for the whole call.
+    The samples of consecutive slabs are evaluated together, at most
+    ``_COEFFICIENT_CHUNK`` at a time for a ``DiscreteCase`` (coefficient
+    errors) and ``_CHUNK`` otherwise (quadrature), and the exact profiles once
+    per point set for the whole call.
     """
     grid, k = traj.grid, traj.k
     n_slabs = grid.num_slabs
@@ -263,7 +267,8 @@ def trajectory_errors(traj: Trajectory, case, l2_in_time: bool = True) -> dict[s
                              {f: np.einsum("ri,rid->rd", lagrange[rows],
                                            traj.coeffs[f][slab_of[rows]]) for f in FIELDS},
                              times[rows], profiles)
-             for rows in chunks(times.size, _CHUNK)]
+             for rows in chunks(times.size, _COEFFICIENT_CHUNK
+                                if isinstance(case, DiscreteCase) else _CHUNK)]
     norms = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
     root_s0 = float(np.sqrt(traj.disc.params.s0))
@@ -283,46 +288,52 @@ def trajectory_errors(traj: Trajectory, case, l2_in_time: bool = True) -> dict[s
 
 def mass_conservation_audit(traj: Trajectory, sources: SourceSet) -> float:
     """Worst relative L2(Omega) residual of the discrete mass balance
-    evaluated pointwise at the Gauss points of every slab.
+    s0 dt p + alpha div dt u + div w = f at the Gauss points of every slab.
 
-    The divergence terms are evaluated pointwise (not projected), so a
-    pairing whose divergences do not live in the pressure space fails loudly;
-    the source is audited as it enters the system (pressure-space projection
-    of its Gauss-Lobatto time interpolant, zero-mean part).  The Gauss rows
-    of consecutive slabs are evaluated together, at most ``_CHUNK`` at a time.
+    div maps BDM_r onto P_{r-1}, so each term is exact as modal coefficients
+    of the DGP space of degree max(r-1, ell) (``Discretization.modal_coupling``),
+    and its L2 norm is read from that space's diagonal mass.  The divergences
+    are the fields' own, not projected, so a pairing whose divergences leave
+    the pressure space fails loudly; the source is audited as it enters the
+    system (pressure-space projection of its Gauss-Lobatto time interpolant,
+    zero-mean part).  The Gauss rows of consecutive slabs are evaluated
+    together, at most ``_COEFFICIENT_CHUNK`` at a time.
     """
     disc, k, grid = traj.disc, traj.k, traj.grid
-    prm = disc.params
-    bdm, dgp = disc.bdm, disc.dgp
-    basis_g0 = lagrange_basis("G0", k)
-    basis_gl = lagrange_basis("GL", k)
+    prm, dgp, (modal, coupling) = disc.params, disc.dgp, disc.modal_coupling
+    basis_g0, basis_gl = lagrange_basis("G0", k), lagrange_basis("GL", k)
     g_nodes = gauss_rule(k).nodes
     val_w = basis_g0.eval_all(g_nodes)              # (k, k+1)
     der_w = basis_g0.deriv_all(g_nodes) / grid.tau
     gl_w = basis_gl.eval_all(g_nodes)               # (k, k+1)
-    qw = bdm.volume.weights
     # the load at the N k + 1 distinct Gauss-Lobatto times: the right node of
     # a slab is the left node of the next
     loads = disc.pressure_load(sources.mass, _slab_times(grid, basis_gl.nodes[:-1]))
-    loads /= disc.dgp.mass_diagonal
+    loads /= dgp.mass_diagonal
+    # a cell's pressure modes are its leading modes in the modal space
+    pressure_modes = modal.cell_dofs[:, :dgp.element.dim].ravel()
 
-    def at_gauss_rows(table, space, weights, slab_coeffs):
-        """(cells, points, c k) values of the field whose slab coefficients
-        (c, k+1, ndofs) are contracted with the time weights (k, k+1)."""
-        rows = np.einsum("gi,cid->dcg", weights, slab_coeffs)
-        return _on_points(table, rows.reshape(len(rows), -1)[space.cell_dofs])
+    def gauss_rows(weights, slab_coeffs):
+        """(c k, ndofs) coefficients at the Gauss rows: slab coefficients
+        (c, k+1, ndofs) contracted with time weights (k, k+1)."""
+        return (weights @ slab_coeffs).reshape(-1, slab_coeffs.shape[-1])
+
+    def norms(values, space):
+        return np.sqrt(values * values @ space.mass_diagonal)
 
     worst = 0.0
-    for slabs in chunks(grid.num_slabs, max(1, _CHUNK // k)):
-        terms = [prm.s0 * at_gauss_rows(dgp.volume.values, dgp, der_w, traj.coeffs["p"][slabs]),
-                 prm.alpha * at_gauss_rows(bdm.volume.divs, bdm, der_w, traj.coeffs["u"][slabs]),
-                 at_gauss_rows(bdm.volume.divs, bdm, val_w, traj.coeffs["w"][slabs])]
+    for slabs in chunks(grid.num_slabs, max(1, _COEFFICIENT_CHUNK // k)):
         windows = k * np.arange(slabs.start, slabs.stop)[:, None] + np.arange(k + 1)
-        terms.append(-at_gauss_rows(dgp.volume.values, dgp, gl_w, loads[windows]))
-        res = np.sqrt(_integral(qw, sum(terms) ** 2))
-        scale = np.max([np.sqrt(_integral(qw, tm * tm)) for tm in terms], axis=0)
-        ratio = np.divide(res, scale, out=res.copy(), where=scale > 0.0)
-        worst = max(worst, float(ratio.max()))
+        p_terms = [prm.s0 * gauss_rows(der_w, traj.coeffs["p"][slabs]),
+                   -gauss_rows(gl_w, loads[windows])]
+        div_terms = [gauss_rows(weights, traj.coeffs[f][slabs]) @ coupling / modal.mass_diagonal
+                     for f, weights in (("u", prm.alpha * der_w), ("w", val_w))]
+        total = sum(div_terms)
+        total[:, pressure_modes] += sum(p_terms)
+        scale = np.max([norms(tm, dgp) for tm in p_terms]
+                       + [norms(tm, modal) for tm in div_terms], axis=0)
+        res = norms(total, modal)
+        worst = max(worst, float(np.divide(res, scale, out=res.copy(), where=scale > 0.0).max()))
     return worst
 
 

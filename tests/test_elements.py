@@ -125,7 +125,7 @@ def _pushed_forward(space, field, ref_points):
                                  field(fit_points).reshape(-1), rcond=None)[0]
     # basis_i = sum_m dof_transform[0, m, i] piola(monomial_m)
     local = np.linalg.solve(space.dof_transform[0], ref_coeffs)
-    points = ref_points @ space.cell_matrix[0].T + space.cell_origin[0]
+    points = ref_points @ space.mesh.cell_matrix[0].T + space.mesh.cell_origin[0]
     vals, grads = space.tabulate_at([0], points[None], grads=True)
     return (np.einsum("qia,i->qa", vals[0], local),
             np.einsum("qiaa,i->q", grads[0], local),
@@ -152,7 +152,7 @@ def test_piola_uniform_scaling(s):
     v, dv, _ = _pushed_forward(space, field, pts_ref)
     # det J = s^2: the divergence scales by 1/s^2 relative to the pullback
     assert np.allclose(dv, div(pts_ref) / s ** 2, rtol=1e-12)
-    assert np.allclose(v, field(pts_ref) @ space.cell_matrix[0].T / s ** 2, rtol=1e-12)
+    assert np.allclose(v, field(pts_ref) @ space.mesh.cell_matrix[0].T / s ** 2, rtol=1e-12)
 
 
 def test_piola_rejects_flipped_cells():
@@ -171,6 +171,6 @@ def test_piola_gradient_chain_rule(rng):
     g_ref = rng.standard_normal((2, 2))
     _, _, grads = _pushed_forward(space, lambda xi: xi @ g_ref.T,
                                   np.array([[0.2, 0.3], [0.6, 0.1]]))
-    b = space.cell_matrix[0]
-    expected = b @ g_ref @ np.linalg.inv(b) / space.cell_det[0]
+    b = space.mesh.cell_matrix[0]
+    expected = b @ g_ref @ np.linalg.inv(b) / space.mesh.cell_det[0]
     assert np.allclose(grads, expected, atol=1e-13)

@@ -96,6 +96,24 @@ def test_boundary_normal_points_outward(mesh1):
     assert np.allclose(normals[right[0]], [1.0, 0.0], atol=1e-14)
 
 
+def test_cell_maps_once_per_mesh(perturbed_mesh):
+    """The affine cell maps are computed once per mesh, read-only, and every
+    space on the mesh reads the same arrays; their values are the vertex
+    differences, det B is twice the cell area and B^-1 numpy's inverse."""
+    mesh = perturbed_mesh
+    verts = mesh.vertices[mesh.cells]
+    b = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
+    assert np.array_equal(mesh.cell_matrix, b)
+    assert np.array_equal(mesh.cell_origin, verts[:, 0])
+    assert np.array_equal(mesh.cell_det, 2.0 * mesh.areas)
+    assert np.array_equal(mesh.cell_inverse, np.linalg.inv(b))
+    spaces = [build_space(mesh, "BDM", 2), build_space(mesh, "DGP", 1)]
+    for name in ("cell_matrix", "cell_origin", "cell_det", "cell_inverse"):
+        array = getattr(mesh, name)
+        assert not array.flags.writeable, name
+        assert all(getattr(space.mesh, name) is array for space in spaces), name
+
+
 def test_vtk_exports(tmp_path, mesh2):
     mesh_path = os.path.join(tmp_path, "mesh.vtk")
     write_vtk_mesh(mesh2, mesh_path, {"p": np.arange(mesh2.num_cells, dtype=float)})

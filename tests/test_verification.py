@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from biotcgp import assembly as asm, mms, spaces as sps, verification as ver
 from biotcgp.mesh import refine_uniform, structured_mesh
@@ -134,6 +135,14 @@ def test_trajectory_errors_matches_per_sample_loop_across_chunks(kind, k, n_slab
     _check_against_per_sample_loop(kind, k, 0, 2, n_slabs, l2_in_time)
 
 
+@pytest.mark.parametrize("l2_in_time", [True, False])
+def test_discrete_errors_match_per_sample_loop_across_coefficient_chunks(l2_in_time):
+    """The coefficient path's larger chunk, crossed several times: 105 or 40
+    samples at k = 3, the first chunk of the 40 ending inside a slab."""
+    assert ver._COEFFICIENT_CHUNK < 40
+    _check_against_per_sample_loop("discrete", 3, 0, 2, 13, l2_in_time)
+
+
 # slab counts per k for the temporal orders: the finest level stays above
 # round-off in every asserted norm (at k = 4 combined_endpoint does not)
 TEMPORAL_LEVELS = {1: [32, 64], 2: [16, 32], 3: [16, 32], 4: [8, 16]}
@@ -238,11 +247,19 @@ def test_error_rows_per_cell(ell, vector_degree):
     """div BDM_r lies in P_{r-1} on each cell and the BDM_2 second derivatives
     are constant there: ``div_rows`` holds one row per modal P_{r-1} function
     of a cell (1 or 3 against its 6 or 12 DOFs) and ``h2_rows`` one per
-    component and derivative pair (8 against 12)."""
+    component and derivative pair (8 against 12).  ``div_rows`` is bitwise
+    the matrix built against a modal P_{r-1} space of its own, although a
+    conservative pairing reads the pressure space and ``div_w`` instead."""
     disc = Discretization(structured_mesh(4, 4), ell, asm.PhysicalParams(),
                           vector_degree=vector_degree)
     nc, r = disc.mesh.num_cells, disc.bdm.degree
     assert disc.div_rows.shape == (nc * r * (r + 1) // 2, disc.bdm.ndofs)
+    modal = sps.build_space(disc.mesh, "DGP", r - 1, None, disc.bdm.quad_degree)
+    coupling = asm.assemble_div_coupling(disc.bdm, modal, 1.0)
+    want = (sparse.diags(modal.mass_diagonal ** -0.5) @ coupling.T).tocsr()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(disc.div_rows, name), getattr(want, name)), name
+    assert (disc.modal_coupling[0] is disc.dgp) == (vector_degree is None)
     if r >= 2:
         assert disc.h2_rows.shape == (8 * nc, disc.bdm.ndofs)
 
@@ -398,11 +415,27 @@ def test_march_case_is_march_errors_and_audit(params, mesh, l2_in_time):
     assert audit <= 1e-9
 
 
+@pytest.mark.parametrize("l2_in_time", [True, False])
+def test_coefficient_errors_do_not_depend_on_the_chunk(monkeypatch, l2_in_time):
+    """The coefficient path measures every sample on its own column, so
+    chunks of 8 and of 32 samples give bitwise equal errors."""
+    disc = Discretization(structured_mesh(3, 3), 0, asm.PhysicalParams())
+    case = mms.discrete_case(disc, omega=3.0)
+    traj = march(disc, 2, TimeGrid(0.5, 13), case.initial_state(), case.sources())
+    errors = []
+    for chunk in (8, 32):
+        monkeypatch.setattr(ver, "_COEFFICIENT_CHUNK", chunk)
+        errors.append(ver.trajectory_errors(traj, case, l2_in_time=l2_in_time))
+    assert errors[0] == errors[1]
+
+
 def test_studies_sample_only_where_they_report(monkeypatch, params):
     """The studies report maxima in time only: at k = 2 each slab is sampled
     at its left end and its interior Gauss-Lobatto point, and the last slab of
     every march also at its right end, 2 N + 1 samples in all.  The samples
-    are evaluated in chunks of consecutive slabs, none larger than the chunk."""
+    are evaluated in chunks of consecutive slabs, each path filling its own
+    cap: the coefficient errors of the temporal study's ``DiscreteCase``
+    32, the quadrature errors of the spatial study's ``TrigCase`` 8."""
     marches = []
     original_errors, original_norms = ver.trajectory_errors, ver.field_error_norms
 
@@ -417,11 +450,15 @@ def test_studies_sample_only_where_they_report(monkeypatch, params):
     monkeypatch.setattr(ver, "trajectory_errors", per_march)
     monkeypatch.setattr(ver, "field_error_norms", counting)
 
-    ver.temporal_study(params, k=2, ell=0, slab_counts=[2, 4, 8], mesh_n=2)
+    ver.temporal_study(params, k=2, ell=0, slab_counts=[2, 4, 20], mesh_n=2)
     ver.spatial_study(params, ell=0, mesh_sizes=[2, 3], k=2, n_slabs=2)
     # two meshes, then the tau-halving rerun
-    assert [sum(sizes) for sizes in marches] == [2 * n + 1 for n in (2, 4, 8, 2, 2, 4)]
-    assert all(0 < size <= ver._CHUNK for sizes in marches for size in sizes)
+    slab_counts = (2, 4, 20, 2, 2, 4)
+    caps = [ver._COEFFICIENT_CHUNK] * 3 + [ver._CHUNK] * 3
+    assert (ver._CHUNK, ver._COEFFICIENT_CHUNK) == (8, 32)
+    for sizes, n, cap in zip(marches, slab_counts, caps, strict=True):
+        total = 2 * n + 1
+        assert sizes == [min(cap, total - start) for start in range(0, total, cap)]
 
 
 # --- projections ------------------------------------------------------------------------
@@ -553,18 +590,100 @@ def test_audit_looks_at_every_slab(disc4, params):
     """A pressure defect at one Gauss row shows in the audit wherever the
     slab sits: the first slab, either side of the first chunk boundary of
     the batched evaluation, and the last slab."""
-    k, n_slabs = 2, 10
+    k = 2
+    boundary = ver._COEFFICIENT_CHUNK // k
+    n_slabs = boundary + 4
     case = mms.default_mms(params, omega=4.0)
     sources = case.sources()
     traj = march(disc4, k, TimeGrid(0.5, n_slabs), case.initial_state(disc4), sources)
     assert ver.mass_conservation_audit(traj, sources) <= 1e-9
-    boundary = ver._CHUNK // k
     rng = np.random.default_rng(5)
     for n in (0, boundary - 1, boundary, n_slabs - 1):
         p = traj.coeffs["p"].copy()
         p[n, 1] += 0.1 * rng.standard_normal(p.shape[-1])
         perturbed = dataclasses.replace(traj, coeffs={**traj.coeffs, "p": p})
         assert ver.mass_conservation_audit(perturbed, sources) > 1e-3, n
+
+
+def _quadrature_audit(traj, sources):
+    """The mass audit evaluated at the volume quadrature points, the
+    reference of the modal one: every term tabulated at the points of each
+    cell, every L2 norm a quadrature sum; all Gauss rows of the run at once."""
+    disc, k, grid = traj.disc, traj.k, traj.grid
+    prm = disc.params
+    bdm, dgp = disc.bdm, disc.dgp
+    basis_g0, basis_gl = lagrange_basis("G0", k), lagrange_basis("GL", k)
+    g_nodes = gauss_rule(k).nodes
+    val_w = basis_g0.eval_all(g_nodes)
+    der_w = basis_g0.deriv_all(g_nodes) / grid.tau
+    gl_w = basis_gl.eval_all(g_nodes)
+    loads = disc.pressure_load(sources.mass, ver._slab_times(grid, basis_gl.nodes[:-1]))
+    loads /= dgp.mass_diagonal
+
+    def at_gauss_rows(table, space, weights, slab_coeffs):
+        rows = np.einsum("gi,cid->dcg", weights, slab_coeffs)
+        return ver._on_points(table, rows.reshape(len(rows), -1)[space.cell_dofs])
+
+    windows = k * np.arange(grid.num_slabs)[:, None] + np.arange(k + 1)
+    terms = [prm.s0 * at_gauss_rows(dgp.volume.values, dgp, der_w, traj.coeffs["p"]),
+             prm.alpha * at_gauss_rows(bdm.volume.divs, bdm, der_w, traj.coeffs["u"]),
+             at_gauss_rows(bdm.volume.divs, bdm, val_w, traj.coeffs["w"]),
+             -at_gauss_rows(dgp.volume.values, dgp, gl_w, loads[windows])]
+    qw = bdm.volume.weights
+    res = np.sqrt(ver._integral(qw, sum(terms) ** 2))
+    scale = np.max([np.sqrt(ver._integral(qw, tm * tm)) for tm in terms], axis=0)
+    return float(np.divide(res, scale, out=res.copy(), where=scale > 0.0).max())
+
+
+def _check_modal_audit(disc, k):
+    """The modal audit against ``_quadrature_audit`` on a march of the trig
+    case, as marched and with the fields perturbed in two slabs.  The audit is
+    a residual relative to its terms, so it is compared absolutely at 1e-12
+    (relative to the terms), and on the perturbed run, where it is O(1), also
+    at 1e-12 relative to itself.  Returns the unperturbed audit."""
+    case = mms.default_mms(disc.params, omega=4.0)
+    sources = case.sources()
+    traj = march(disc, k, TimeGrid(0.5, 5), case.initial_state(disc), sources)
+    audit = ver.mass_conservation_audit(traj, sources)
+    assert abs(audit - _quadrature_audit(traj, sources)) <= 1e-12
+    rng = np.random.default_rng(11)
+    coeffs = {f: c.copy() for f, c in traj.coeffs.items()}
+    for f in ("u", "w", "p"):
+        coeffs[f][[1, 3], 1:] += 0.1 * rng.standard_normal(coeffs[f][[1, 3], 1:].shape)
+    perturbed = dataclasses.replace(traj, coeffs=coeffs)
+    got, want = (ver.mass_conservation_audit(perturbed, sources),
+                 _quadrature_audit(perturbed, sources))
+    assert 1e-3 < want and abs(got - want) <= 1e-12 * want
+    return audit
+
+
+@pytest.mark.parametrize("s0", [1.0, 1e-8])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_modal_audit_matches_quadrature(perturbed, ell, k, s0, perturbed_mesh):
+    """div BDM_{ell+1} lies in the pressure space, so the audit's terms are
+    its modal coefficients and their norms those of the diagonal mass; the
+    quadrature at the points reads the same values."""
+    mesh = perturbed_mesh if perturbed else structured_mesh(3, 3)
+    params = asm.PhysicalParams(s0=s0, eta=16.0 if ell else 4.0)
+    disc = Discretization(mesh, ell, params)
+    assert _check_modal_audit(disc, k) <= 1e-9
+    assert disc.modal_coupling == (disc.dgp, disc.div_w)
+
+
+@pytest.mark.parametrize("ell, vector_degree", [(0, 2), (1, 1)])
+def test_modal_audit_matches_quadrature_on_mismatched_pairings(ell, vector_degree):
+    """Where the BDM degree is not ell + 1 the audit's terms live in the modal
+    space of degree max(r - 1, ell).  BDM_2 with P_0 leaves the pressure
+    space and must fail; BDM_1 with P_1 keeps every divergence in it."""
+    params = asm.PhysicalParams(eta=16.0)
+    disc = Discretization(structured_mesh(3, 3), ell, params, vector_degree=vector_degree)
+    audit = _check_modal_audit(disc, 2)
+    if vector_degree == 2:
+        assert audit > 1e-3
+    else:
+        assert audit <= 1e-9
 
 
 def test_audit_negative_control(params):
