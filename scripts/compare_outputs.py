@@ -16,8 +16,9 @@ largest relative change of each row (a study level) over all seeds, to be
 read against the rounding noise of that level, and how many snapshot files,
 summed over the seeds whose digests differ, decode to values that are not
 bitwise equal (``read_legacy_vtk``: ASCII and binary files of the same values
-count as equal).  The trees are only read; the exit status is 1 if any check
-failed.
+count as equal), and per check name of ``summary.txt`` the range of new/old
+of its ``measured=`` value over the seeds where that value differs.  The trees
+are only read; the exit status is 1 if any check failed.
 """
 
 import hashlib
@@ -185,6 +186,25 @@ def _largest_csv_change(old: dict, new: dict) -> tuple[float, str]:
     return worst
 
 
+def _measured(out_dir: str) -> dict[str, float]:
+    """The ``measured=`` value of each check line of ``summary.txt``, keyed by
+    check name; empty where the workload writes no summary."""
+    path = os.path.join(out_dir, "summary.txt")
+    if not os.path.exists(path):
+        return {}
+    with open(path, encoding="utf-8") as handle:
+        lines = [line.split() for line in handle]
+    return {words[1]: float(word.split("=", 1)[1])
+            for words in lines for word in words[2:] if word.startswith("measured=")}
+
+
+def _measured_ratios(old: dict, new: dict) -> dict[str, float]:
+    """new/old of every ``measured=`` value of two runs' ``_measured`` that
+    differs, keyed by check name; inf where the old value is 0."""
+    return {name: new[name] / old[name] if old[name] else math.inf
+            for name in sorted(old.keys() & new.keys()) if new[name] != old[name]}
+
+
 def _run_workload(name: str, seed: int) -> dict:
     import workloads
     from biotcgp.linalg import SolverError
@@ -195,8 +215,8 @@ def _run_workload(name: str, seed: int) -> dict:
         try:
             workload.execute(inputs, out_dir)
         except SolverError:  # a failed solve is a failed check, as in the benchmark
-            return {"digest": None, "failed": ["SolverError"],
-                    "deviation": math.inf, "files": {}, "csv": {}, "vtk": {}}
+            return {"digest": None, "failed": ["SolverError"], "deviation": math.inf,
+                    "files": {}, "csv": {}, "vtk": {}, "measured": {}}
         checks = workloads.check_outputs(workload, inputs, seed, out_dir)
         with open(workloads.REFERENCE_PATH, encoding="utf-8") as handle:
             reference = json.load(handle)[name][str(seed % workloads.PARAM_SETS)]
@@ -210,7 +230,8 @@ def _run_workload(name: str, seed: int) -> dict:
                 "deviation": deviation,
                 "files": _file_hashes(out_dir),
                 "csv": _csv_tables(out_dir),
-                "vtk": _vtk_hashes(out_dir)}
+                "vtk": _vtk_hashes(out_dir),
+                "measured": _measured(out_dir)}
 
 
 def child(root: str, *args: str) -> None:
@@ -232,6 +253,7 @@ def main(old: str, new: str) -> int:
         largest = (0.0, "", None)    # relative CSV change, where, seed
         by_row = {}                  # CSV file -> largest relative change per row
         vtk_changed, vtk_files = 0, 0    # decoded snapshot files that differ, all compared
+        ratios = {}                  # check -> lowest and highest new/old measured=, seeds
         for seed in SEEDS:
             runs = {side: json.loads(_child(root, name, str(seed))) for side, root in roots.items()}
             digest = runs["old"]["digest"]
@@ -247,6 +269,10 @@ def main(old: str, new: str) -> int:
                 vtk_paths = old_vtk.keys() | new_vtk.keys()
                 vtk_files += len(vtk_paths)
                 vtk_changed += sum(old_vtk.get(path) != new_vtk.get(path) for path in vtk_paths)
+                for check, ratio in _measured_ratios(runs["old"]["measured"],
+                                                     runs["new"]["measured"]).items():
+                    low, high, seeds = ratios.get(check, (ratio, ratio, 0))
+                    ratios[check] = min(low, ratio), max(high, ratio), seeds + 1
             if not same and differing is None:
                 old_files, new_files = runs["old"]["files"], runs["new"]["files"]
                 differing = seed, sorted(path for path in old_files.keys() | new_files.keys()
@@ -269,6 +295,9 @@ def main(old: str, new: str) -> int:
             if vtk_files:
                 print(f"{'':12s} snapshot files with different decoded values: "
                       f"{vtk_changed} of {vtk_files}")
+            for check, (low, high, seeds) in sorted(ratios.items()):
+                print(f"{'':12s} summary.txt {check} measured= new/old: {low:.6g} to {high:.6g}"
+                      f" ({seeds} seeds)")
     return 1 if any_failed else 0
 
 

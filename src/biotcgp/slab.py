@@ -44,17 +44,17 @@ by the exact mode-0 shifts of ``spaces.remove_constant_load`` and
 ``remove_mean``.
 
 The source enters each slab through its Gauss-Lobatto interpolant in time,
-and its loads do not depend on the solution.  So the march evaluates them for
-a chunk of up to ``_CHUNK`` slabs at once, at all those slabs' Gauss-Lobatto
-times, and ``SlabOperators.rhs`` only combines one slab's rows with its
-left-end state.
+and its loads do not depend on the solution, so the march evaluates them for
+up to ``_CHUNK`` slabs at once, at their ``TimeGrid.times``.  A finished
+``Trajectory`` is read through ``sample`` alone: values and tau-scaled time
+derivatives at local positions of whole slabs, one matmul per field.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,6 +96,11 @@ class TimeGrid:
         ends = np.linspace(0.0, self.total_time, self.num_slabs + 1)
         ends.flags.writeable = False
         return ends
+
+    def times(self, positions, slabs: slice = slice(None)) -> np.ndarray:
+        """Times at the local ``positions`` in [0, 1] of each slab in
+        ``slabs``, (slabs, positions): left end plus tau times the position."""
+        return self.endpoints[:-1][slabs, None] + self.tau * np.asarray(positions)
 
 
 @dataclass
@@ -413,6 +418,13 @@ class SlabOperators:
         return x
 
 
+@lru_cache(maxsize=None)
+def _g0_rows(k: int, positions: tuple[float, ...], derivative: bool) -> np.ndarray:
+    """G0 basis values or local derivatives, (positions, k+1); shared, so only read."""
+    basis = lagrange_basis("G0", k)
+    return (basis.deriv_all if derivative else basis.eval_all)(np.array(positions))
+
+
 @dataclass
 class Trajectory:
     """Globally continuous piecewise-polynomial solution in the G0 nodal basis.
@@ -426,10 +438,15 @@ class Trajectory:
     disc: Discretization
     coeffs: dict[str, np.ndarray]
 
-    @cached_property
-    def end_weights(self) -> np.ndarray:
-        """G0 basis at the right end of a slab, (k+1,)."""
-        return lagrange_basis("G0", self.k).eval_all(1.0)
+    def sample(self, field_name: str, positions, slabs: slice = slice(None),
+               derivative: bool = False) -> np.ndarray:
+        """Field coefficients, or their time derivatives (divided by tau), at
+        ``grid.times(positions, slabs)``: one row per (slab, position), slab by
+        slab, from one matmul of the cached basis rows with the coefficients."""
+        rows = (_g0_rows(self.k, tuple(np.ravel(positions).tolist()), derivative)
+                / (self.grid.tau if derivative else 1.0))
+        coeffs = self.coeffs[field_name][slabs]
+        return (rows @ coeffs).reshape(-1, coeffs.shape[-1])
 
     def endpoint(self, field_name: str, n: int) -> np.ndarray:
         """Field coefficients at t_n (n = 0..N).
@@ -439,10 +456,9 @@ class Trajectory:
         exactly the value the march evaluated at the right end of the slab
         before (shared storage), so both adjacent slabs agree bitwise.
         """
-        c = self.coeffs[field_name]
         if n < self.grid.num_slabs:
-            return c[n, 0]
-        return np.einsum("i,id->d", self.end_weights, c[n - 1])
+            return self.coeffs[field_name][n, 0]
+        return self.sample(field_name, [1.0], slice(n - 1, n))[0]
 
     def state_at_endpoint(self, n: int) -> SlabState:
         return SlabState(*(self.endpoint(f, n) for f in FIELDS))
@@ -480,7 +496,6 @@ def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
     bs, nb, npp, nf = ops.block_size, disc.bdm.ndofs, disc.dgp.ndofs, ops.n_bdm
     coeffs = {f: np.zeros((grid.num_slabs, k + 1, nb if f != "p" else npp))
               for f in FIELDS}
-    traj = Trajectory(grid, k, disc, coeffs)
     # (a field's rows per slab, flattened; the positions of its DOFs in them;
     # its columns of the block): the u, v and w rows fill the free DOFs, and
     # the constrained ones stay zero
@@ -488,22 +503,22 @@ def march(disc: Discretization, k: int, grid: TimeGrid, initial: SlabState,
     layout = [(coeffs[f].reshape(grid.num_slabs, -1), free, slice(i * nf, (i + 1) * nf))
               for i, f in enumerate(FIELDS[:3])]
     layout.append((coeffs["p"].reshape(grid.num_slabs, -1), slice(None), slice(3 * nf, bs)))
-    # G0 basis of one slab at the next slab's Gauss nodes, (k, k+1)
-    ahead = lagrange_basis("G0", k).eval_all(1.0 + gauss_rule(k).nodes)
+    # G0 basis of one slab at its right end (row 0) and at the next slab's Gauss nodes
+    rows = lagrange_basis("G0", k).eval_all(np.append(1.0, 1.0 + gauss_rule(k).nodes))
     known = np.empty((k + 1, bs))    # the slab's left-end block, then its stage values
     known[0], start = ops.restrict_state(initial), None
     # the stage factorizations and solves run on one BLAS thread (linalg module doc)
     with serial_blas():
         for chunk in chunks(grid.num_slabs, _CHUNK):
-            times = grid.endpoints[chunk, None] + grid.tau * ops.gl_nodes
+            times = grid.times(ops.gl_nodes, chunk)
             loads = ops._load_stack(sources, times.ravel()).reshape(times.shape + (bs,))
             for n, slab_loads in zip(range(chunk.start, chunk.stop), loads):
                 known[1:] = ops.solve(ops.rhs(known[0], slab_loads), start).reshape(k, bs)
-                start = (ahead @ known).ravel()
+                start = (rows[1:] @ known).ravel()
                 for values, dofs, cols in layout:
                     values[n, dofs] = known[:, cols].ravel()
-                known[0] = np.einsum("i,id->d", traj.end_weights, known)
-    return traj
+                known[0] = np.einsum("i,id->d", rows[0], known)
+    return Trajectory(grid, k, disc, coeffs)
 
 
 def export_snapshots(traj: Trajectory, out_dir: str) -> list[str]:

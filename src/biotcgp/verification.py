@@ -5,8 +5,9 @@ h_e^{-1}-weighted tangential jumps over all edges, the h_K^2-weighted broken
 H2 seminorm, and (for the full graph norm) the divergence; the combined error
 measure adds the density-weighted velocity/flux norm, the K^{-1/2} flux norm,
 and the sqrt(s0)-scaled pressure norm.  Errors that are themselves discrete
-fields are measured as quadratic forms of the coefficients (Gram or
-row matrices); errors against an analytic field, by quadrature.
+fields are measured as quadratic forms of the coefficients (Gram or row
+matrices); errors against an analytic field, by quadrature.  The errors and
+the mass audit read a trajectory through ``Trajectory.sample`` only.
 """
 
 from __future__ import annotations
@@ -216,20 +217,13 @@ def _stacked_errors(disc: Discretization, case, values: dict[str, np.ndarray],
                              _profiles=profiles)
 
 
-# Samples evaluated together; the per-call overhead of a few dominates.  A
-# quadrature batch holds (cells, points, samples) arrays: 16 samples raised the
-# spatial and single_run peak RSS by 0.5 and 1.1 MB.  A coefficient batch (the
-# errors of a DiscreteCase, the Gauss rows of the audit) holds (samples, DOFs)
+# Samples evaluated together, whole slabs per call; the per-call overhead of a
+# few dominates.  A quadrature batch holds (cells, points, samples) arrays: 16
+# samples raised the spatial and single_run peak RSS by 0.5 and 1.1 MB.  A
+# coefficient batch (DiscreteCase errors, audit Gauss rows) holds (samples, DOFs)
 # arrays, yet the whole audit in one pass raised temporal's peak RSS by 0.8 MB.
 _CHUNK = 8
 _COEFFICIENT_CHUNK = 32
-
-
-def _slab_times(grid: TimeGrid, positions: np.ndarray) -> np.ndarray:
-    """Times at the local ``positions`` in [0, 1) of every slab, slab by slab,
-    then the final time."""
-    ends = grid.endpoints
-    return np.append((ends[:-1, None] + grid.tau * positions).ravel(), ends[-1])
 
 
 def trajectory_errors(traj: Trajectory, case, l2_in_time: bool = True) -> dict[str, float]:
@@ -244,10 +238,10 @@ def trajectory_errors(traj: Trajectory, case, l2_in_time: bool = True) -> dict[s
     norms look, k-1 interior points plus its left end (and the right end of
     the last slab), and the other keys are unchanged.
 
-    The samples of consecutive slabs are evaluated together, at most
-    ``_COEFFICIENT_CHUNK`` at a time for a ``DiscreteCase`` (coefficient
-    errors) and ``_CHUNK`` otherwise (quadrature), and the exact profiles once
-    per point set for the whole call.
+    Per call, the samples of as many whole slabs as fit ``_COEFFICIENT_CHUNK``
+    for a ``DiscreteCase`` (coefficient errors) and ``_CHUNK`` otherwise
+    (quadrature), at least one, then the right end of the last slab alone; the
+    exact profiles once per point set for the whole call.
     """
     grid, k = traj.grid, traj.k
     n_slabs = grid.num_slabs
@@ -256,19 +250,15 @@ def trajectory_errors(traj: Trajectory, case, l2_in_time: bool = True) -> dict[s
     positions = gauss_lobatto_rule(k).nodes[:-1]
     if l2_in_time:
         positions = np.concatenate([positions, rule.nodes])
-    basis = lagrange_basis("G0", k)
-    lagrange = np.concatenate([np.tile(basis.eval_all(positions), (n_slabs, 1)),
-                               basis.eval_all(np.array([1.0]))])
-    slab_of = np.append(np.repeat(np.arange(n_slabs), positions.size), n_slabs - 1)
-    times = _slab_times(grid, positions)
+    cap = _COEFFICIENT_CHUNK if isinstance(case, DiscreteCase) else _CHUNK
+    calls = [(positions, slabs, grid.times(positions, slabs).ravel())
+             for slabs in chunks(n_slabs, max(1, cap // positions.size))]
+    calls.append(([1.0], slice(n_slabs - 1, None), grid.endpoints[-1:]))
 
     profiles: dict = {}
-    parts = [_stacked_errors(traj.disc, case,
-                             {f: np.einsum("ri,rid->rd", lagrange[rows],
-                                           traj.coeffs[f][slab_of[rows]]) for f in FIELDS},
-                             times[rows], profiles)
-             for rows in chunks(times.size, _COEFFICIENT_CHUNK
-                                if isinstance(case, DiscreteCase) else _CHUNK)]
+    parts = [_stacked_errors(traj.disc, case, {f: traj.sample(f, at, slabs) for f in FIELDS},
+                             times, profiles)
+             for at, slabs, times in calls]
     norms = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
     root_s0 = float(np.sqrt(traj.disc.params.s0))
@@ -296,27 +286,21 @@ def mass_conservation_audit(traj: Trajectory, sources: SourceSet) -> float:
     are the fields' own, not projected, so a pairing whose divergences leave
     the pressure space fails loudly; the source is audited as it enters the
     system (pressure-space projection of its Gauss-Lobatto time interpolant,
-    zero-mean part).  The Gauss rows of consecutive slabs are evaluated
-    together, at most ``_COEFFICIENT_CHUNK`` at a time.
+    zero-mean part).  The Gauss rows of whole slabs are sampled together, at
+    most ``_COEFFICIENT_CHUNK`` at a time.
     """
     disc, k, grid = traj.disc, traj.k, traj.grid
     prm, dgp, (modal, coupling) = disc.params, disc.dgp, disc.modal_coupling
-    basis_g0, basis_gl = lagrange_basis("G0", k), lagrange_basis("GL", k)
+    basis_gl = lagrange_basis("GL", k)
     g_nodes = gauss_rule(k).nodes
-    val_w = basis_g0.eval_all(g_nodes)              # (k, k+1)
-    der_w = basis_g0.deriv_all(g_nodes) / grid.tau
     gl_w = basis_gl.eval_all(g_nodes)               # (k, k+1)
     # the load at the N k + 1 distinct Gauss-Lobatto times: the right node of
     # a slab is the left node of the next
-    loads = disc.pressure_load(sources.mass, _slab_times(grid, basis_gl.nodes[:-1]))
+    loads = disc.pressure_load(sources.mass,
+                               np.append(grid.times(basis_gl.nodes[:-1]), grid.endpoints[-1]))
     loads /= dgp.mass_diagonal
     # a cell's pressure modes are its leading modes in the modal space
     pressure_modes = modal.cell_dofs[:, :dgp.element.dim].ravel()
-
-    def gauss_rows(weights, slab_coeffs):
-        """(c k, ndofs) coefficients at the Gauss rows: slab coefficients
-        (c, k+1, ndofs) contracted with time weights (k, k+1)."""
-        return (weights @ slab_coeffs).reshape(-1, slab_coeffs.shape[-1])
 
     def norms(values, space):
         return np.sqrt(values * values @ space.mass_diagonal)
@@ -324,10 +308,11 @@ def mass_conservation_audit(traj: Trajectory, sources: SourceSet) -> float:
     worst = 0.0
     for slabs in chunks(grid.num_slabs, max(1, _COEFFICIENT_CHUNK // k)):
         windows = k * np.arange(slabs.start, slabs.stop)[:, None] + np.arange(k + 1)
-        p_terms = [prm.s0 * gauss_rows(der_w, traj.coeffs["p"][slabs]),
-                   -gauss_rows(gl_w, loads[windows])]
-        div_terms = [gauss_rows(weights, traj.coeffs[f][slabs]) @ coupling / modal.mass_diagonal
-                     for f, weights in (("u", prm.alpha * der_w), ("w", val_w))]
+        p_terms = [prm.s0 * traj.sample("p", g_nodes, slabs, derivative=True),
+                   -(gl_w @ loads[windows]).reshape(-1, dgp.ndofs)]
+        div_terms = [term @ coupling / modal.mass_diagonal
+                     for term in (prm.alpha * traj.sample("u", g_nodes, slabs, derivative=True),
+                                  traj.sample("w", g_nodes, slabs))]
         total = sum(div_terms)
         total[:, pressure_modes] += sum(p_terms)
         scale = np.max([norms(tm, dgp) for tm in p_terms]

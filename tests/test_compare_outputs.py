@@ -39,6 +39,28 @@ def test_row_changes_give_each_level_its_largest_change():
     assert compare._row_changes(old, {}) == {"study.csv": [(math.inf, "")]}
 
 
+def test_measured_values_and_their_ratios(tmp_path):
+    old, new, bare = tmp_path / "old", tmp_path / "new", tmp_path / "bare"
+    for path in (old, new, bare):
+        path.mkdir()
+    (old / "summary.txt").write_text(
+        "PASS temporal_eoc measured=3.972 bound>=2.80\n"
+        "PASS mass_conservation measured=1.262e-13 bound<=1e-09\n"
+        "PASS random_seed seed=0\nPASS drift measured=0.0000 bound<0.05\nOVERALL PASS\n")
+    (new / "summary.txt").write_text(
+        "PASS temporal_eoc measured=3.972 bound>=2.80\n"
+        "PASS mass_conservation measured=1.263e-13 bound<=1e-09\n"
+        "PASS random_seed seed=0\nPASS drift measured=0.0001 bound<0.05\nOVERALL PASS\n")
+    measured = compare._measured(str(old))
+    assert measured == {"temporal_eoc": 3.972, "mass_conservation": 1.262e-13, "drift": 0.0}
+    assert compare._measured(str(bare)) == {}
+    ratios = compare._measured_ratios(measured, compare._measured(str(new)))
+    assert sorted(ratios) == ["drift", "mass_conservation"]
+    assert ratios["mass_conservation"] == pytest.approx(1.263 / 1.262)
+    assert ratios["drift"] == math.inf
+    assert compare._measured_ratios(measured, measured) == {}
+
+
 def _ascii_vtk(mesh, scalars, vectors):
     """The two snapshot files as the ASCII writers formatted them, row by row
     with %.17g: the files that compare_outputs must read from older trees."""

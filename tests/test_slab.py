@@ -583,6 +583,83 @@ def test_eval_outside_interval_rejected(disc4):
         eval_at(traj, "u", 0.6)
 
 
+# --- Trajectory.sample, the one evaluation of the slab polynomials ----------------
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sample_matches_stored_rows_and_eval_at(disc4, k):
+    """Against references that share no code with ``sample``: at position 0
+    the stored node-0 rows, at 1 the node-0 rows of the next slabs (which the
+    march evaluated on its own), off the nodes ``eval_at``; and the times are
+    the slab's left end plus tau times the position."""
+    case = mms.default_mms(disc4.params, omega=4.0)
+    grid = TimeGrid(0.5, 5)
+    traj = march(disc4, k, grid, case.initial_state(disc4), case.sources())
+    off_node = [0.1, 0.3, 0.7, 0.9]
+    times = grid.times(off_node, slice(1, 4))
+    assert times.shape == (3, 4)
+    for f, c in traj.coeffs.items():
+        bound = 1e-15 * np.abs(c).max()
+        assert np.array_equal(traj.sample(f, [0.0]), c[:, 0])
+        assert np.abs(traj.sample(f, [1.0], slice(0, 4)) - c[1:, 0]).max() <= bound
+        values = traj.sample(f, off_node, slice(1, 4))
+        assert values.shape == (12, c.shape[-1])
+        for row, (n, s) in enumerate((n, s) for n in (1, 2, 3) for s in off_node):
+            assert times[n - 1, off_node.index(s)] == grid.endpoints[n] + grid.tau * s
+            assert np.abs(values[row] - eval_at(traj, f, grid.endpoints[n] + grid.tau * s)).max() \
+                <= bound
+
+
+def _collocation_residuals(traj, sources):
+    """Per slab, the largest entry of T y' + S y - F at its Gauss nodes on the
+    free DOFs, over the largest entry of the three terms.  y and y' come from
+    ``Trajectory.sample``; F is the Gauss-Lobatto interpolant of the march's
+    own ``_load_stack`` rows, and the pressure rows of the residual lose their
+    action on the constant 1, which the zero-mean pressure tests never see."""
+    disc, k, grid = traj.disc, traj.k, traj.grid
+    ops = SlabOperators(disc, k, grid.tau)
+    nodes = gauss_rule(k).nodes
+
+    def stacked(derivative):
+        rows = [traj.sample(f, nodes, derivative=derivative) for f in ("u", "v", "w", "p")]
+        return np.hstack([x[:, ops.free] for x in rows[:3]] + rows[3:])
+
+    t_term = (disc.time_derivative_block @ stacked(True).T).T
+    s_term = (disc.stationary_block @ stacked(False).T).T
+    loads = ops._load_stack(sources, grid.times(ops.gl_nodes).ravel())
+    f_term = (lagrange_basis("GL", k).eval_all(nodes)
+              @ loads.reshape(grid.num_slabs, k + 1, -1)).reshape(t_term.shape)
+    residual = t_term + s_term - f_term
+    p = slice(3 * ops.n_bdm, None)
+    residual[:, p] = sps.remove_constant_load(disc.dgp, residual[:, p])
+
+    def per_slab(x):
+        return np.abs(x).reshape(grid.num_slabs, -1).max(axis=1)
+
+    return per_slab(residual) / np.max([per_slab(x) for x in (t_term, s_term, f_term)], axis=0)
+
+
+@pytest.mark.parametrize("s0", [1.0, 1e-8, 1e-10])
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["trig", "discrete"])
+def test_sampled_trajectory_collocates_at_the_gauss_nodes(kind, k, ell, s0):
+    """cGP(k) is collocation at the Gauss points (module doc): the sampled
+    values and derivatives of every slab meet T y' + S y = F there, to 1e-10
+    relative per slab.  A perturbed stage coefficient fails its slab alone."""
+    params = PhysicalParams(s0=s0, eta=16.0 if ell else 4.0)
+    disc = Discretization(structured_mesh(3, 3), ell, params)
+    case = mms.default_mms(params, omega=4.0) if kind == "trig" else mms.discrete_case(disc)
+    sources = case.sources()
+    traj = march(disc, k, TimeGrid(0.5, 5), case.initial_state(disc), sources)
+    assert _collocation_residuals(traj, sources).max() <= 1e-10
+
+    u = traj.coeffs["u"].copy()
+    u[2, k, disc.bdm.free[0]] += 1e-6 * np.abs(u).max()
+    residuals = _collocation_residuals(replace(traj, coeffs={**traj.coeffs, "u": u}), sources)
+    assert residuals[2] > 1e-8
+    assert np.delete(residuals, 2).max() <= 1e-10
+
+
 def test_march_determinism(disc4):
     case = mms.default_mms(disc4.params, omega=4.0)
     grid = TimeGrid(0.5, 3)
@@ -616,10 +693,9 @@ def test_first_slab_stores_the_initial_state(disc4, discrete):
     traj = march(disc4, 2, grid, initial, case.sources())
     for f in ("u", "v", "w", "p"):
         assert np.array_equal(traj.coeffs[f][0, 0], getattr(initial, f))
-        # the march evaluates a slab's end on the free-DOF block; the full-DOF
-        # evaluation that Trajectory.endpoint makes after the last slab
-        # gives the same bits
-        end = np.einsum("i,id->d", traj.end_weights, traj.coeffs[f][0])
+        # the march evaluates a slab's end on the free-DOF block; the same
+        # contraction over the full DOFs gives the same bits
+        end = np.einsum("i,id->d", lagrange_basis("G0", 2).eval_all(1.0), traj.coeffs[f][0])
         assert np.array_equal(end, traj.coeffs[f][1, 0])
 
 

@@ -130,15 +130,17 @@ def test_trajectory_errors_matches_per_sample_loop(kind, k, ell, mesh_n):
 @pytest.mark.parametrize("kind, k", [("trig", 1), ("trig", 2), ("trig", 3), ("discrete", 2)])
 def test_trajectory_errors_matches_per_sample_loop_across_chunks(kind, k, n_slabs,
                                                                  l2_in_time):
-    """Slab counts that are no multiple of the evaluation chunk: some chunks
-    end inside a slab, and the right end of the last slab closes a short one."""
+    """Slab counts that are no multiple of the slabs per evaluation chunk,
+    except where one slab's samples fill a chunk: the last chunk is short,
+    and the right end of the last slab is a call of its own."""
     _check_against_per_sample_loop(kind, k, 0, 2, n_slabs, l2_in_time)
 
 
 @pytest.mark.parametrize("l2_in_time", [True, False])
 def test_discrete_errors_match_per_sample_loop_across_coefficient_chunks(l2_in_time):
     """The coefficient path's larger chunk, crossed several times: 105 or 40
-    samples at k = 3, the first chunk of the 40 ending inside a slab."""
+    samples at k = 3, in chunks of 4 slabs of 8 samples or of 10 slabs of 3,
+    the last one short, then the right end of the last slab."""
     assert ver._COEFFICIENT_CHUNK < 40
     _check_against_per_sample_loop("discrete", 3, 0, 2, 13, l2_in_time)
 
@@ -433,9 +435,10 @@ def test_studies_sample_only_where_they_report(monkeypatch, params):
     """The studies report maxima in time only: at k = 2 each slab is sampled
     at its left end and its interior Gauss-Lobatto point, and the last slab of
     every march also at its right end, 2 N + 1 samples in all.  The samples
-    are evaluated in chunks of consecutive slabs, each path filling its own
-    cap: the coefficient errors of the temporal study's ``DiscreteCase``
-    32, the quadrature errors of the spatial study's ``TrigCase`` 8."""
+    are evaluated in chunks of whole consecutive slabs, as many as fill each
+    path's cap, then the right end alone: 16 slabs for the coefficient errors
+    of the temporal study's ``DiscreteCase`` (cap 32), 4 for the quadrature
+    errors of the spatial study's ``TrigCase`` (cap 8)."""
     marches = []
     original_errors, original_norms = ver.trajectory_errors, ver.field_error_norms
 
@@ -457,8 +460,8 @@ def test_studies_sample_only_where_they_report(monkeypatch, params):
     caps = [ver._COEFFICIENT_CHUNK] * 3 + [ver._CHUNK] * 3
     assert (ver._CHUNK, ver._COEFFICIENT_CHUNK) == (8, 32)
     for sizes, n, cap in zip(marches, slab_counts, caps, strict=True):
-        total = 2 * n + 1
-        assert sizes == [min(cap, total - start) for start in range(0, total, cap)]
+        per_call = cap // 2
+        assert sizes == [2 * min(per_call, n - start) for start in range(0, n, per_call)] + [1]
 
 
 # --- projections ------------------------------------------------------------------------
@@ -617,7 +620,8 @@ def _quadrature_audit(traj, sources):
     val_w = basis_g0.eval_all(g_nodes)
     der_w = basis_g0.deriv_all(g_nodes) / grid.tau
     gl_w = basis_gl.eval_all(g_nodes)
-    loads = disc.pressure_load(sources.mass, ver._slab_times(grid, basis_gl.nodes[:-1]))
+    loads = disc.pressure_load(sources.mass,
+                               np.append(grid.times(basis_gl.nodes[:-1]), grid.endpoints[-1]))
     loads /= dgp.mass_diagonal
 
     def at_gauss_rows(table, space, weights, slab_coeffs):
